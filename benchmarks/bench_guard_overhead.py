@@ -18,7 +18,7 @@ real guarded query would amortize it.
 
 from __future__ import annotations
 
-import time
+from interleaved import interleaved_pair
 
 from repro.resilience import EvalLimits
 from repro.semirings import NATURAL
@@ -41,25 +41,6 @@ def _case():
     return prepared, {"S": forest}
 
 
-def _best_interleaved_pair(
-    baseline_fn, candidate_fn, repetitions: int = 40, batches: int = 7
-) -> tuple[float, float]:
-    # Interleave the two sides batch by batch: clock-frequency or load drift
-    # between two back-to-back measurement windows would otherwise read as
-    # overhead of whichever side ran later.
-    best_baseline = best_candidate = float("inf")
-    for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            baseline_fn()
-        best_baseline = min(best_baseline, (time.perf_counter() - start) / repetitions)
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            candidate_fn()
-        best_candidate = min(best_candidate, (time.perf_counter() - start) / repetitions)
-    return best_baseline, best_candidate
-
-
 def test_guarded_codegen_unlimited(benchmark):
     prepared, env = _case()
     expected = prepared.evaluate(env)
@@ -80,7 +61,7 @@ def test_guard_overhead_within_bound():
     """Armed-but-quiet limits must cost <= 5% on the codegen hot path."""
     prepared, env = _case()
     assert prepared.evaluate(env, limits=GENEROUS) == prepared.evaluate(env)
-    without, with_limits = _best_interleaved_pair(
+    without, with_limits = interleaved_pair(
         lambda: prepared.evaluate(env, method="nrc-codegen"),
         lambda: prepared.evaluate(env, method="nrc-codegen", limits=GENEROUS),
     )
@@ -96,7 +77,7 @@ def test_unarmed_check_tick_is_near_free():
     """With no guard active anywhere, evaluating with limits=None must not
     regress: check_tick is one module-global read."""
     prepared, env = _case()
-    plain, unbounded = _best_interleaved_pair(
+    plain, unbounded = interleaved_pair(
         lambda: prepared.evaluate(env, method="nrc-codegen"),
         lambda: prepared.evaluate(env, method="nrc-codegen", limits=EvalLimits()),
     )

@@ -61,7 +61,8 @@ from repro.paperdata import (  # noqa: E402
     figure4_query,
     figure4_source,
 )
-from repro.exec import BatchEvaluator, PlanCache, ShardedEvaluator  # noqa: E402
+from interleaved import interleaved_pair  # noqa: E402
+from repro.exec import BatchEvaluator, PlanCache  # noqa: E402
 from repro.semirings import NATURAL, PROVENANCE  # noqa: E402
 from repro.uxquery import evaluate_query, prepare_query  # noqa: E402
 from repro.workloads import random_forest, standard_query_suite  # noqa: E402
@@ -89,7 +90,7 @@ def run_pytest_benchmarks(quick: bool) -> list[dict]:
         if quick:
             command += [
                 "-k",
-                "figure1 or figure4 or batch or shard or ivm or store or codegen "
+                "figure1 or figure4 or batch or ivm or store or codegen "
                 "or guard or integrity",
                 "--benchmark-min-rounds",
                 "1",
@@ -135,29 +136,6 @@ def _time_call(fn, repetitions: int, batches: int = 5) -> float:
         if elapsed < best:
             best = elapsed
     return best
-
-
-def _time_ratio_pair(
-    baseline_fn, candidate_fn, repetitions: int, batches: int = 5
-) -> tuple[float, float]:
-    """Best batch-mean wall times for two functions, batches interleaved.
-
-    The overhead-bar sections compare two timings of the *same* work; running
-    all of one side's batches before the other lets slow clock-frequency or
-    load drift masquerade as overhead.  Alternating batches puts both sides
-    in every drift regime, and min-over-batches then cancels it.
-    """
-    best_baseline = best_candidate = float("inf")
-    for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            baseline_fn()
-        best_baseline = min(best_baseline, (time.perf_counter() - start) / repetitions)
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            candidate_fn()
-        best_candidate = min(best_candidate, (time.perf_counter() - start) / repetitions)
-    return best_baseline, best_candidate
 
 
 def _speedup_case(name: str, query, semiring, env: dict, repetitions: int) -> dict:
@@ -271,12 +249,10 @@ def measure_codegen(quick: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Section 3: the execution layer (plan cache + batch + shard)
+# Section 3: the execution layer (plan cache + batch)
 # ---------------------------------------------------------------------------
 def measure_exec(quick: bool) -> dict:
     """Throughput of the repro.exec subsystem, answers pinned to single-shot."""
-    from concurrent.futures import ThreadPoolExecutor
-
     num_docs = 12 if quick else 48
     repetitions = 3 if quick else 10
     query = "($S)/*/*"
@@ -322,50 +298,7 @@ def measure_exec(quick: bool) -> dict:
         f"speedup {batch_throughput['speedup_vs_single_shot_loop']:6.2f}x"
     )
 
-    shard_query = "($S)//c"
-    forest = random_forest(
-        NATURAL, num_trees=16 if quick else 48, depth=4, fanout=3, seed=900
-    )
-    shard_prepared = prepare_query(shard_query, NATURAL, {"S": forest})
-    single_answer = shard_prepared.evaluate({"S": forest})
-    single_s = _time_call(lambda: shard_prepared.evaluate({"S": forest}), repetitions)
-    shard_scaling = {
-        "query": shard_query,
-        "forest_trees": len(forest),
-        "single_shot_s": single_s,
-        "runs": [],
-    }
-    for num_shards, mode in ((1, "inline"), (2, "inline"), (4, "inline"), (4, "threads")):
-        sharded = ShardedEvaluator(shard_prepared, num_shards=num_shards)
-        if mode == "threads":
-            pool = ThreadPoolExecutor(max_workers=num_shards)
-            run = lambda: sharded.evaluate(forest, executor=pool)  # noqa: E731
-        else:
-            pool = None
-            run = lambda: sharded.evaluate(forest)  # noqa: E731
-        try:
-            if run() != single_answer:
-                raise SystemExit(
-                    f"shard_scaling: {num_shards}-shard ({mode}) answer disagrees"
-                )
-            wall_s = _time_call(run, repetitions)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        shard_scaling["runs"].append(
-            {
-                "shards": num_shards,
-                "mode": mode,
-                "wall_s": wall_s,
-                "vs_single_shot": single_s / wall_s if wall_s else float("inf"),
-            }
-        )
-        print(
-            f"{'shard_scaling':32s} {num_shards} shard(s) [{mode:7s}] "
-            f"{wall_s * 1e6:9.1f}us  vs single-shot "
-            f"{shard_scaling['runs'][-1]['vs_single_shot']:6.2f}x"
-        )
-    return {"batch_throughput": batch_throughput, "shard_scaling": shard_scaling}
+    return {"batch_throughput": batch_throughput}
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +477,7 @@ def measure_resilience(quick: bool) -> dict:
     if prepared.evaluate(env, limits=generous) != prepared.evaluate(env):
         raise SystemExit("guard_overhead: limited and unlimited answers disagree")
 
-    unlimited_s, limited_s = _time_ratio_pair(
+    unlimited_s, limited_s = interleaved_pair(
         lambda: prepared.evaluate(env, method="nrc-codegen"),
         lambda: prepared.evaluate(env, method="nrc-codegen", limits=generous),
         repetitions,
@@ -578,11 +511,12 @@ def measure_resilience(quick: bool) -> dict:
 def measure_obs(quick: bool) -> dict:
     """The instrumentation tax plus a metrics-export smoke check.
 
-    Asserts the regression bar directly: the disarmed span/slow-query/
-    sampling hooks on the codegen hot path (suite_child-chain-3, the fully
-    instrumented ``PreparedQuery.evaluate`` vs the raw generated-program
-    call) must cost <= 5% **with the flight-recorder event ring armed**,
-    its default state — the bar covers the production configuration.  The
+    Asserts the regression bar directly: the disarmed ``observe()`` scope
+    (query log, slow-query threshold, trace/sampling checks) on the codegen
+    hot path (suite_child-chain-3, the fully instrumented
+    ``PreparedQuery.evaluate`` vs the raw generated-program call) must cost
+    <= 5% **with the flight-recorder event ring armed**, its default state —
+    the bar covers the production configuration.  The
     armed tracing ratio is recorded for the trajectory but carries no bar —
     arming is an explicit diagnostic request.  The smoke check proves the
     default-registry export stays machine-readable: ``render_prometheus``
@@ -600,6 +534,8 @@ def measure_obs(quick: bool) -> dict:
 
     if not obs_events.is_recording():
         raise SystemExit("obs_overhead: flight recorder should be armed by default")
+    if obs_qlog.is_recording():
+        raise SystemExit("obs_overhead: query log should be disarmed by default")
     repetitions = 40 if quick else 200
     max_overhead_ratio = 1.05
     forest = random_forest(NATURAL, num_trees=8, depth=4, fanout=3, seed=17)
@@ -609,7 +545,7 @@ def measure_obs(quick: bool) -> dict:
     if prepared.evaluate(env) != prepared.program.evaluate(env):
         raise SystemExit("obs_overhead: instrumented and raw answers disagree")
 
-    raw_s, disarmed_s = _time_ratio_pair(
+    raw_s, disarmed_s = interleaved_pair(
         lambda: prepared.program.evaluate(env),
         lambda: prepared.evaluate(env, method="nrc-codegen"),
         repetitions,
@@ -623,18 +559,6 @@ def measure_obs(quick: bool) -> dict:
     traced_s = _time_call(traced, repetitions, batches=3)
     ratio = disarmed_s / raw_s if raw_s else float("inf")
 
-    # The query-log record site rides the same evaluate path; hold it to the
-    # same bar with its own interleaved pair so a qlog-only regression shows
-    # up under its own name rather than as noise in the combined ratio.
-    if obs_qlog.is_recording():
-        raise SystemExit("obs_overhead: query log should be disarmed by default")
-    qlog_raw_s, qlog_disarmed_s = _time_ratio_pair(
-        lambda: prepared.program.evaluate(env),
-        lambda: prepared.evaluate(env, method="nrc-codegen"),
-        repetitions,
-        batches=7,
-    )
-    qlog_ratio = qlog_disarmed_s / qlog_raw_s if qlog_raw_s else float("inf")
 
     text = render_prometheus(default_registry())
     families = parse_prometheus(text)
@@ -650,7 +574,6 @@ def measure_obs(quick: bool) -> dict:
         "traced_s": traced_s,
         "overhead_ratio": ratio,
         "traced_ratio": traced_s / raw_s if raw_s else float("inf"),
-        "qlog_disarmed_ratio": qlog_ratio,
         "max_overhead_ratio": max_overhead_ratio,
         "metrics_export_ok": export_ok,
         "metrics_families": len(families),
@@ -659,17 +582,11 @@ def measure_obs(quick: bool) -> dict:
         f"{'obs_overhead':32s} raw {raw_s * 1e6:9.1f}us  "
         f"disarmed {disarmed_s * 1e6:9.1f}us  "
         f"overhead {(ratio - 1) * 100:+5.1f}%  "
-        f"traced {(report['traced_ratio'] - 1) * 100:+5.1f}%  "
-        f"qlog {(qlog_ratio - 1) * 100:+5.1f}%"
+        f"traced {(report['traced_ratio'] - 1) * 100:+5.1f}%"
     )
     if ratio > max_overhead_ratio:
         raise SystemExit(
             f"obs_overhead: disarmed instrumentation costs {(ratio - 1) * 100:.1f}% on "
-            f"suite_child-chain-3 (bar: {(max_overhead_ratio - 1) * 100:.0f}%)"
-        )
-    if qlog_ratio > max_overhead_ratio:
-        raise SystemExit(
-            f"obs_overhead: disarmed qlog hook costs {(qlog_ratio - 1) * 100:.1f}% on "
             f"suite_child-chain-3 (bar: {(max_overhead_ratio - 1) * 100:.0f}%)"
         )
     if not export_ok:
@@ -785,7 +702,6 @@ def _flatten_metrics(report: dict) -> dict[str, float]:
     obs_section = report.get("obs") or {}
     put("obs/disarmed_overhead_ratio", obs_section.get("overhead_ratio"))
     put("obs/traced_overhead_ratio", obs_section.get("traced_ratio"))
-    put("obs/qlog_disarmed_ratio", obs_section.get("qlog_disarmed_ratio"))
     integrity_section = report.get("integrity") or {}
     put(
         "integrity/wal_append_overhead_ratio",
@@ -884,9 +800,8 @@ def main() -> None:
             "equal across all three methods before timing",
             "exec": "batch_throughput compares a stateless single-shot loop "
             "(evaluate_query per document, re-preparing every time) against one "
-            "BatchEvaluator.evaluate_many call over the same documents; shard_scaling "
-            "times ShardedEvaluator at 1/2/4 shards against single-shot evaluation of "
-            "the same prepared query; all answers are asserted equal before timing",
+            "BatchEvaluator.evaluate_many call over the same documents; answers are "
+            "asserted equal before timing",
             "ivm": "single-subtree-insert workload: per-update cost of maintaining a "
             "materialized view through its compiled delta plan (insert + exact "
             "Diff(K) delete, state restored every round) vs re-evaluating the "
@@ -906,8 +821,9 @@ def main() -> None:
             "unlimited; answers asserted equal before timing and the overhead "
             "ratio asserted <= 1.05",
             "obs": "obs_overhead times the fully instrumented serving path "
-            "(PreparedQuery.evaluate: slow-query check + trace/sampling check "
-            "+ dispatch, all disarmed, with the flight-recorder event ring "
+            "(PreparedQuery.evaluate: the observe() scope's query-log, "
+            "slow-query and trace/sampling checks + dispatch, all disarmed, "
+            "with the flight-recorder event ring "
             "armed as it is by default) against the raw generated-program "
             "call on suite_child-chain-3; the disarmed ratio is asserted "
             "<= 1.05, the armed-tracing ratio is recorded without a bar, and "

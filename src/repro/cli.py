@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="[HOST:]PORT",
         help="serve the telemetry endpoints over HTTP instead of dumping once "
-        "(/metrics, /varz, /healthz, /readyz, /debug/slow, /debug/events); "
-        "runs until interrupted",
+        "(/metrics, /varz, /healthz, /readyz, /debug/events, /debug/queries, "
+        "and /debug/slow: the query-log records at or over "
+        "REPRO_SLOW_QUERY_MS); runs until interrupted",
     )
 
     events = subparsers.add_parser(
@@ -920,7 +921,7 @@ def _command_metrics(args: argparse.Namespace) -> int:
     import repro.exec.plan_cache  # noqa: F401  (plan-cache families)
     import repro.ivm.view  # noqa: F401  (view maintenance)
     import repro.nrc.codegen  # noqa: F401  (codegen counters)
-    import repro.obs.profile  # noqa: F401  (slow queries)
+    import repro.obs.qlog  # noqa: F401  (query log, slow queries)
     import repro.store.store  # noqa: F401  (store families)
 
     # Keep the store referenced until after the export: its counters are
@@ -941,7 +942,7 @@ def _command_metrics(args: argparse.Namespace) -> int:
 
 
 def _refresh_obs_env_config() -> None:
-    """Re-read the observability env configuration (slow-query, events, qlog).
+    """Re-read the observability env configuration (events, qlog, slow queries).
 
     Every long-running or capture-consuming command (``metrics --serve``,
     ``events --follow``, ``replay``, ``report``) calls this so
@@ -949,10 +950,8 @@ def _refresh_obs_env_config() -> None:
     this module imported are still honoured.
     """
     from repro.obs import events as obs_events
-    from repro.obs import profile as obs_profile
     from repro.obs import qlog as obs_qlog
 
-    obs_profile.refresh_slow_query_config()
     obs_events.refresh_event_config()
     obs_qlog.refresh_qlog_config()
 

@@ -93,7 +93,7 @@ class WorkloadError(ReproError):
 
 
 class ExecError(ReproError):
-    """Errors in the batched / sharded query-execution layer (:mod:`repro.exec`)."""
+    """Errors in the batched query-execution layer (:mod:`repro.exec`)."""
 
 
 class IVMError(ReproError):

@@ -2,10 +2,10 @@
 
 The engine's :class:`~repro.uxquery.engine.PreparedQuery` gives one caller
 compile-once-evaluate-many behavior for one query.  This package scales that
-contract to a service: many callers, many documents, many cores.
+contract to a service: many callers, many documents.
 
-Three cooperating pieces
-------------------------
+Two cooperating pieces
+----------------------
 * :mod:`repro.exec.plan_cache` — a bounded, thread-safe LRU cache in front of
   :func:`~repro.uxquery.engine.prepare_query`, keyed by (query text, semiring,
   environment types), with coalesced concurrent compilation and
@@ -15,11 +15,6 @@ Three cooperating pieces
   prepared query against many documents in a single call, reusing one frame
   template and the compiled form's persistent ``srt`` memo, and merging K-set
   results through the trusted ``KSet._accumulate_normalized`` fast path.
-* :mod:`repro.exec.shard` — :class:`~repro.exec.shard.ShardedEvaluator`
-  partitions one large forest (hash or round-robin over root members),
-  evaluates the shards on a worker pool, and merges the per-shard K-sets
-  exactly.  A static linearity check guards correctness for non-idempotent
-  semirings.
 
 Which one do I want?
 --------------------
@@ -32,16 +27,12 @@ Which one do I want?
 * **Batch** — one query, *many documents*: amortizes frame setup and shares
   ``srt`` memo tables across the whole batch; add an executor to fan out when
   documents are numerous or evaluation is heavy.
-* **Shard** — one query, *one huge document*: splits the forest across
-  workers.  Requires a forest-valued query that is linear in the document
-  variable (checked statically; element-wrapped results and self-joins are
-  rejected).  Batch parallelizes across documents, shard parallelizes within
-  one.
 
-Thread pools are the default worker model (compiled programs are reusable and
-thread-safe); ``ProcessPoolExecutor`` is optionally supported for registry
-semirings, with workers re-preparing from query text through their own plan
-cache.
+The batch evaluator's ``ProcessPoolExecutor`` path is the parallel mechanism:
+it works for registry semirings, with workers re-preparing from query text
+through their own plan cache, and it survives dead workers (retry on a
+rebuilt pool, then inline degradation).  Thread pools also work on any
+prepared query (compiled programs are reusable and thread-safe).
 """
 
 from repro.errors import ExecError
@@ -53,13 +44,6 @@ from repro.exec.batch import (
     worker_stats,
 )
 from repro.exec.plan_cache import CacheStats, PlanCache, cached_prepare, default_plan_cache
-from repro.exec.shard import (
-    PARTITION_SCHEMES,
-    ShardedEvaluator,
-    is_linear_in,
-    partition_forest,
-    shard_evaluate,
-)
 
 __all__ = [
     "ExecError",
@@ -72,9 +56,4 @@ __all__ = [
     "worker_stats",
     "reset_worker_stats",
     "scoped_worker_stats",
-    "ShardedEvaluator",
-    "shard_evaluate",
-    "partition_forest",
-    "is_linear_in",
-    "PARTITION_SCHEMES",
 ]

@@ -17,8 +17,8 @@ Two collection shapes are offered:
 * :meth:`BatchEvaluator.evaluate_merged` — the pointwise union of all
   per-document K-set results, accumulated with the trusted
   :meth:`~repro.kcollections.kset.KSet._accumulate_normalized` fast path
-  instead of per-document public constructors (what the sharded executor
-  wants).
+  instead of per-document public constructors (what merged store reads
+  and batched view maintenance want).
 
 The frame-template fast path serves both ``method="nrc-codegen"`` (the
 source-generated program, when the plan has one — the default) and
@@ -54,15 +54,13 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Any, Iterable, Iterator, Mapping
 
-from time import perf_counter as _perf
-
 from repro.errors import ExecError, SemiringError
 from repro.kcollections.kset import KSet
 from repro.nrc.codegen import CodegenProgram, _ForeignCollection, note_calls
 from repro.nrc.compile_eval import _UNBOUND
-from repro.obs import qlog as _qlog
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
+from repro.obs.qlog import observe
 from repro.obs.trace import span, trace_payload, worker_trace
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits, activate
@@ -366,24 +364,11 @@ class BatchEvaluator:
         ``concurrent.futures`` executor; without one the batch runs inline.
         ``limits=`` guards the whole batch with one shared deadline/budget.
         """
-        # Query log: one record per batch call (not per document — the
-        # template fast path never reenters PreparedQuery.evaluate, and the
-        # interp path's per-document records are suppressed below); one
-        # module-global read when disarmed.
-        if not _qlog._RECORDING:
-            return self._evaluate_many(documents, env, method, executor, limits)
-        started = _perf()
-        with _qlog.suppress():
+        # One record per batch call, not per document: the interp path's
+        # per-document evaluations nest inside this scope.
+        with observe("exec.batch", self.prepared) as obs:
             results = self._evaluate_many(documents, env, method, executor, limits)
-        _qlog.record(
-            self.prepared,
-            "exec.batch",
-            method,
-            _perf() - started,
-            result=results,
-            rows=len(results),
-        )
-        return results
+            return obs.done(results, method=method)
 
     def _evaluate_many(
         self,

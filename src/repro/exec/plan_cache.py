@@ -29,7 +29,7 @@ observability (:meth:`PlanCache.stats`).
 
 The module also hosts a process-wide default cache (:func:`default_plan_cache`)
 and the convenience wrapper :func:`cached_prepare`, used by the CLI ``batch``
-subcommand and by process-pool shard workers.
+subcommand and by process-pool batch workers.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ _DEFAULT_CACHE = PlanCache(maxsize=256, name="default")
 
 
 def default_plan_cache() -> PlanCache:
-    """The process-wide plan cache used by the CLI and shard workers."""
+    """The process-wide plan cache used by the CLI and batch workers."""
     return _DEFAULT_CACHE
 
 

@@ -34,14 +34,13 @@ Recompute fallback triggers (the *delta-plan contract*):
 
 from __future__ import annotations
 
-from time import perf_counter as _perf
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.errors import IVMError
 from repro.kcollections.kset import KSet
-from repro.obs import qlog as _qlog
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
+from repro.obs.qlog import observe
 from repro.obs.trace import span
 from repro.ivm.delta import (
     Delta,
@@ -101,6 +100,7 @@ class _PreparedDeltaAdapter:
 
     def __init__(self, plan: DeltaPlan):
         self.compiled = plan.program
+        self.generated = plan.generated
         self.semiring = plan.semiring
         self.env_types = {plan.delta_var: FOREST}
 
@@ -178,39 +178,23 @@ class MaterializedView:
         # apply leaves the stats (and the view) untouched.
         self._applies += 1
         _VIEW_EVENTS.inc(kind="applies")
-        # Query log: one record per apply, tagged with how the result was
-        # maintained; the recompute's engine-level record is suppressed.
-        qlogging = _qlog._RECORDING
-        started = _perf() if qlogging else 0.0
-        with span("ivm.apply", classification=self.plan.classification) as current:
+        with observe(
+            "ivm.apply", self.prepared, classification=self.plan.classification
+        ) as obs:
             maintained, fallback_reason = self._try_incremental(delta, new_document)
             if maintained is None:
                 self._recomputes += 1
                 _VIEW_EVENTS.inc(kind="recomputes")
-                current.annotate(maintenance="recompute", reason=fallback_reason)
+                obs.annotate(maintenance="recompute", reason=fallback_reason)
                 emit("ivm.recompute", reason=fallback_reason,
                      classification=self.plan.classification)
-                if qlogging:
-                    with _qlog.suppress():
-                        maintained = self.prepared.evaluate(
-                            self._bindings(new_document)
-                        )
-                else:
-                    maintained = self.prepared.evaluate(self._bindings(new_document))
-                maintenance = "ivm-recompute"
+                maintained = self.prepared.evaluate(self._bindings(new_document))
+                obs.done(maintained, method="ivm-recompute")
             else:
                 self._incremental += 1
                 _VIEW_EVENTS.inc(kind="incremental")
-                current.annotate(maintenance="incremental")
-                maintenance = "ivm-incremental"
-        if qlogging:
-            _qlog.record(
-                self.prepared,
-                "ivm.apply",
-                maintenance,
-                _perf() - started,
-                result=maintained,
-            )
+                obs.annotate(maintenance="incremental")
+                obs.done(maintained, method="ivm-incremental")
         self._document = new_document
         self._result = maintained
         return maintained

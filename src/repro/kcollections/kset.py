@@ -332,36 +332,6 @@ class KSet:
         kept = {value: annotation for value, annotation in self._items.items() if value in wanted}
         return KSet._from_normalized(self._semiring, kept)
 
-    # ------------------------------------------------------------ partitioning
-    def partition(self, num_shards: int, scheme: str = "hash") -> list["KSet"]:
-        """Split this K-set into ``num_shards`` disjoint K-sets covering it.
-
-        The pointwise union of the returned shards is exactly ``self`` (every
-        member lands in one shard, with its annotation untouched), which is
-        the invariant the sharded executor of :mod:`repro.exec.shard` relies
-        on.  ``scheme="hash"`` buckets members by value hash (stable for a
-        given member set within one process); ``scheme="round-robin"`` deals
-        members out in iteration order, giving maximally balanced shard
-        sizes.  Shards may be empty when ``num_shards`` exceeds the support
-        size.
-        """
-        if num_shards < 1:
-            raise SemiringError("partition requires at least one shard")
-        buckets: list[dict[Any, Any]] = [{} for _ in range(num_shards)]
-        if scheme == "hash":
-            for value, annotation in self._items.items():
-                buckets[hash(value) % num_shards][value] = annotation
-        elif scheme == "round-robin":
-            for index, (value, annotation) in enumerate(self._items.items()):
-                buckets[index % num_shards][value] = annotation
-        else:
-            raise SemiringError(
-                f"unknown partition scheme {scheme!r}; valid schemes: 'hash', 'round-robin'"
-            )
-        # Members are unique across buckets and annotations flow through
-        # untouched, so the trusted constructor applies.
-        return [KSet._from_normalized(self._semiring, bucket) for bucket in buckets]
-
     # ------------------------------------------------------------- comparison
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KSet):

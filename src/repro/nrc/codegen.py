@@ -29,7 +29,7 @@ bytecode with :func:`compile`/``exec``:
 Exactness: the generated program computes the same sums of products as the
 closure evaluator, re-associated by the semiring axioms that every shipped
 semiring satisfies exactly on its canonical representatives (the same premise
-the Appendix A simplifier, the shard merger and the IVM delta plans already
+the Appendix A simplifier, the batch merger and the IVM delta plans already
 stand on).  The differential fuzz suite (``tests/nrc/test_codegen_fuzz.py``)
 and the equivalence corpus assert ``nrc-codegen == nrc == nrc-interp`` for
 every registry semiring.

@@ -2,7 +2,7 @@
 
 Six cooperating modules, all built on the same cost discipline as the
 fault-injection layer (:mod:`repro.resilience.faults`): when nothing is
-armed, an instrumentation site costs one module-global read.
+armed, an instrumentation site costs a few module-global reads.
 
 * :mod:`repro.obs.metrics` — a thread-safe registry of labeled counters,
   gauges and histograms (histograms carry per-bucket trace exemplars).
@@ -15,28 +15,39 @@ armed, an instrumentation site costs one module-global read.
 * :mod:`repro.obs.events` — the flight recorder: a bounded ring of
   structured events emitted at operational decision points (worker
   retries, IVM recompute fallbacks, codegen declines, limit trips, fault
-  injections, ...), dumpable via ``repro events`` or ``/debug/events``.
-* :mod:`repro.obs.qlog` — the structured query log: one typed record per
-  user-facing evaluation (engine, batch/shard exec, store queries, IVM
-  applies), keyed by a stable **plan signature**, kept in a bounded ring
-  and optionally captured to a size-rotated JSONL file
-  (``REPRO_QUERY_LOG``) for ``repro replay`` / ``repro report``.
-  Disarmed by default — an instrumentation site costs one global read.
+  injections, slow calls, ...), dumpable via ``repro events`` or
+  ``/debug/events``.  Its :class:`~repro.obs.events.Ring` (bounded,
+  sequence-stamped, optional size-rotated JSONL mirror) also backs the
+  query log.
+* :mod:`repro.obs.qlog` — the structured query log and the one
+  instrumentation scope every entry point uses: ``observe()`` wraps engine
+  ``evaluate``, ``exec.batch``, store ``query``/``query_many`` and IVM
+  ``apply``, owning the span, the clock, the nesting guard (one user call,
+  one record) and the slow-query check.  Records are keyed by a stable
+  **plan signature**, kept in a bounded ring and optionally captured to a
+  size-rotated JSONL file (``REPRO_QUERY_LOG``) for ``repro replay`` /
+  ``repro report``.  Slow queries (``REPRO_SLOW_QUERY_MS``) are the
+  records over the threshold.  Disarmed by default — a site costs a few
+  global reads.
 * :mod:`repro.obs.profile` — per-operator wall time and row counts under
-  all three NRC evaluators (``repro explain --analyze``) plus the
-  slow-query log (``REPRO_SLOW_QUERY_MS``).
+  all three NRC evaluators (``repro explain --analyze``).
 * :mod:`repro.obs.http` — the telemetry HTTP surface: a mountable WSGI
   app plus a threaded stdlib server (``repro metrics --serve``) exposing
   ``/metrics``, ``/varz``, ``/healthz``, ``/readyz``, ``/debug/slow``,
   ``/debug/events`` and ``/debug/queries``.
 
+Seven environment variables configure the plane: ``REPRO_EVENTS`` and
+``REPRO_EVENT_LOG`` (flight recorder), ``REPRO_QLOG``, ``REPRO_QUERY_LOG``,
+``REPRO_QUERY_LOG_MAX_BYTES`` and ``REPRO_QUERY_LOG_KEEP`` (query log), and
+``REPRO_SLOW_QUERY_MS`` (the slow-query threshold).
+
 Import structure: only the dependency-light modules (metrics, trace,
 events) load eagerly, so hot modules anywhere in the tree — including
 :mod:`repro.resilience.limits` and :mod:`repro.nrc.codegen`, which sit
 *below* the profiler in the import graph — can do
-``from repro.obs.events import emit`` at module scope.  ``profile`` and
-``http`` (which pull in the NRC evaluators and the store-facing readiness
-checks) resolve lazily via module ``__getattr__``.
+``from repro.obs.events import emit`` at module scope.  ``qlog``,
+``profile`` and ``http`` (the latter two pull in the NRC evaluators and the
+store-facing readiness checks) resolve lazily via module ``__getattr__``.
 """
 
 from repro.obs.events import (
@@ -70,10 +81,6 @@ from repro.obs.trace import (
 _LAZY = {
     "ProfileReport": "repro.obs.profile",
     "profile_evaluate": "repro.obs.profile",
-    "slow_queries": "repro.obs.profile",
-    "clear_slow_queries": "repro.obs.profile",
-    "refresh_slow_query_config": "repro.obs.profile",
-    "slow_query_threshold": "repro.obs.profile",
     "profile": "repro.obs.profile",
     "TelemetryApp": "repro.obs.http",
     "TelemetryServer": "repro.obs.http",
@@ -82,6 +89,8 @@ _LAZY = {
     "store_ready_check": "repro.obs.http",
     "plan_cache_ready_check": "repro.obs.http",
     "http": "repro.obs.http",
+    "observe": "repro.obs.qlog",
+    "slow_queries": "repro.obs.qlog",
     "refresh_qlog_config": "repro.obs.qlog",
     "qlog": "repro.obs.qlog",
 }

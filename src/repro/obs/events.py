@@ -20,6 +20,10 @@ Every event carries the active trace id when tracing is armed (sampled
 :mod:`repro.obs.trace`), which is what links a ``worker.retry`` event to
 the exact batch evaluation that suffered it.
 
+The :class:`Ring` behind the recorder is shared with the query log
+(:mod:`repro.obs.qlog`): one bounded, sequence-stamped, thread-safe ring
+with an optional size-rotated JSONL mirror.
+
 Import-weight note: this module depends only on :mod:`repro.obs.metrics`
 and :mod:`repro.obs.trace` (both repro-import-free), so even the earliest
 importers (``repro.resilience.faults``, armed at interpreter start) can
@@ -33,13 +37,15 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable, Mapping
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.obs import trace as _trace
 from repro.obs.metrics import default_registry
 
 __all__ = [
     "EVENT_CATALOG",
+    "Ring",
     "declare_event",
     "emit",
     "recent_events",
@@ -74,18 +80,110 @@ EVENT_CATALOG: dict[str, str] = {
     "limits.timeout": "an evaluation exceeded its time budget (QueryTimeoutError)",
     "limits.budget": "an evaluation exceeded a row/byte budget (BudgetExceededError)",
     "fault.injected": "an armed failpoint fired (repro.resilience.faults)",
-    "query.slow": "an evaluation crossed the REPRO_SLOW_QUERY_MS threshold",
+    "query.slow": "a user-level call crossed the REPRO_SLOW_QUERY_MS threshold",
     "integrity.checksum-mismatch": "a WAL record or snapshot failed checksum/digest verification",
     "integrity.quarantine": "fsck moved a corrupt artifact or WAL suffix to a .quarantine sidecar",
     "integrity.salvage": "fsck salvaged the longest valid WAL prefix of a damaged log",
 }
 
-#: One global read decides the disarmed path; writers hold _RING_LOCK.
+
+class Ring:
+    """A bounded, thread-safe ring of JSON-friendly records.
+
+    :meth:`append` stamps each record with a monotone ``seq`` and, when
+    :attr:`path` is set, mirrors it to that JSONL file; once the file
+    reaches :attr:`max_bytes` (0: never) it rotates to ``path.1``,
+    ``path.2``, ... keeping :attr:`keep` generations.
+    """
+
+    def __init__(self, capacity: int):
+        self._entries: deque = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+        self._seq = 0
+        self.path: str | None = None
+        self.max_bytes = 0
+        self.keep = 1
+
+    def append(self, entry: dict[str, Any]) -> dict[str, Any]:
+        with self._lock:
+            self._seq += 1
+            entry["seq"] = self._seq
+            self._entries.append(entry)
+        path = self.path
+        if path:
+            self._mirror(path, json.dumps(entry, default=str) + "\n")
+        return entry
+
+    def recent(
+        self,
+        limit: int | None = None,
+        where: Callable[[dict[str, Any]], bool] | None = None,
+    ) -> list[dict[str, Any]]:
+        """A snapshot, oldest first, of the entries ``where`` accepts;
+        ``limit`` keeps the newest ``limit`` of them."""
+        with self._lock:
+            entries = list(self._entries)
+        if where is not None:
+            entries = [entry for entry in entries if where(entry)]
+        if limit is not None and limit >= 0:
+            entries = entries[-limit:] if limit else []
+        return entries
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    @property
+    def capacity(self) -> int:
+        return self._entries.maxlen or 0
+
+    def resize(self, capacity: int) -> None:
+        """Change the bound, preserving the newest entries that still fit."""
+        if capacity < 1:
+            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
+        with self._lock:
+            self._entries = deque(self._entries, maxlen=capacity)
+
+    def _mirror(self, path: str, line: str) -> None:
+        """One JSONL append plus the size-rotation check (cross-process safe)."""
+        try:
+            with open(path, "a", encoding="utf-8") as log:
+                log.write(line)
+                size = log.tell()
+        except OSError:  # pragma: no cover - log dir vanished
+            return
+        if self.max_bytes and size >= self.max_bytes:
+            self._rotate(path)
+
+    def _rotate(self, path: str) -> None:
+        """Shift ``path`` -> ``path.1`` -> ... keeping ``keep`` generations.
+
+        Another process may rotate concurrently — every rename is
+        individually best-effort, so a lost race drops at most one
+        generation, never a record from the active file.
+        """
+        with self._lock:
+            try:
+                if os.path.getsize(path) < self.max_bytes:
+                    return  # another thread/process already rotated
+            except OSError:
+                return
+            for generation in range(self.keep, 0, -1):
+                source = path if generation == 1 else f"{path}.{generation - 1}"
+                try:
+                    os.replace(source, f"{path}.{generation}")
+                except OSError:
+                    continue
+            if self.keep < 1:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
+
+
+#: One global read decides the disarmed path.
 _RECORDING = True
-_RING: deque = deque(maxlen=DEFAULT_RING_CAPACITY)
-_RING_LOCK = threading.Lock()
-_SEQ = 0
-_LOG_PATH: str | None = None
+_RING = Ring(DEFAULT_RING_CAPACITY)
 
 _EVENT_COUNTER = default_registry().counter(
     "repro_events_total", "Flight-recorder events by kind"
@@ -110,50 +208,31 @@ def emit(kind: str, **attrs: Any) -> dict[str, Any] | None:
         raise ValueError(
             f"undeclared event kind {kind!r}; add it with declare_event()"
         )
-    global _SEQ
-    event: dict[str, Any] = {
+    event = _RING.append({
         "kind": kind,
         "ts": time.time(),
         "pid": os.getpid(),
         "tid": threading.get_ident(),
         "trace_id": _trace.current_trace_id(),
         "attrs": attrs,
-    }
-    with _RING_LOCK:
-        _SEQ += 1
-        event["seq"] = _SEQ
-        _RING.append(event)
+    })
     _EVENT_COUNTER.inc(kind=kind)
-    path = _LOG_PATH
-    if path:
-        try:
-            with open(path, "a", encoding="utf-8") as log:
-                log.write(json.dumps(event, default=str) + "\n")
-        except OSError:  # pragma: no cover - log dir vanished
-            pass
     return event
 
 
 def recent_events(kind: str | None = None,
                   limit: int | None = None) -> list[dict[str, Any]]:
     """A snapshot of the ring, oldest first (optionally filtered/tailed)."""
-    with _RING_LOCK:
-        snapshot = list(_RING)
-    if kind is not None:
-        snapshot = [event for event in snapshot if event["kind"] == kind]
-    if limit is not None and limit >= 0:
-        snapshot = snapshot[-limit:] if limit else []
-    return snapshot
+    return _RING.recent(limit, None if kind is None else lambda event: event["kind"] == kind)
 
 
 def clear_events() -> None:
-    with _RING_LOCK:
-        _RING.clear()
+    _RING.clear()
 
 
-def export_jsonl(events: Iterable[Mapping[str, Any]]) -> str:
-    """One JSON object per line, in emit order."""
-    return "".join(json.dumps(dict(event), default=str) + "\n" for event in events)
+def export_jsonl(entries: Iterable[Mapping[str, Any]]) -> str:
+    """One JSON object per line, in ring order."""
+    return "".join(json.dumps(dict(entry), default=str) + "\n" for entry in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +250,33 @@ def set_recording(enabled: bool) -> bool:
     return previous
 
 
-class recording:
+@contextmanager
+def recording(enabled: bool = True) -> Iterator[None]:
     """Scoped recorder toggle (benchmarks disarm, tests force-arm)."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._previous: bool | None = None
-
-    def __enter__(self) -> "recording":
-        self._previous = set_recording(self.enabled)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._previous is not None:
-            set_recording(self._previous)
+    previous = set_recording(enabled)
+    try:
+        yield
+    finally:
+        set_recording(previous)
 
 
 def ring_capacity() -> int:
-    return _RING.maxlen or 0
+    return _RING.capacity
 
 
 def set_ring_capacity(capacity: int) -> None:
     """Resize the ring, preserving the newest events that still fit."""
-    global _RING
-    if capacity < 1:
-        raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-    with _RING_LOCK:
-        _RING = deque(_RING, maxlen=capacity)
+    _RING.resize(capacity)
 
 
 def refresh_event_config(environ: Mapping[str, str] | None = None) -> None:
     """(Re-)read ``REPRO_EVENTS``/``REPRO_EVENT_LOG``; call after mutating
     ``os.environ`` (the telemetry server calls this on start)."""
-    global _RECORDING, _LOG_PATH
+    global _RECORDING
     environ = environ if environ is not None else os.environ
     raw = (environ.get(ENV_EVENTS) or "").strip().lower()
     _RECORDING = raw not in ("off", "0", "false", "no")
-    _LOG_PATH = environ.get(ENV_EVENT_LOG) or None
+    _RING.path = environ.get(ENV_EVENT_LOG) or None
 
 
 refresh_event_config()

@@ -14,7 +14,8 @@ standalone.  Endpoints:
 ``/readyz``         readiness: 200 only when every registered check passes
                     (store recovered, plan cache warm, ...), 503 otherwise,
                     with a per-check JSON report either way
-``/debug/slow``     the slow-query buffer (:func:`repro.obs.profile.slow_queries`);
+``/debug/slow``     the query-log records at or over ``REPRO_SLOW_QUERY_MS``
+                    (:func:`repro.obs.qlog.slow_queries`) and the threshold;
                     ``?limit=``/``?format=jsonl`` supported
 ``/debug/events``   the flight-recorder ring (:mod:`repro.obs.events`);
                     ``?kind=``/``?limit=``/``?format=jsonl`` supported
@@ -24,11 +25,12 @@ standalone.  Endpoints:
 ==================  ========================================================
 
 Readiness checks are plain callables returning ``bool`` or
-``(bool, detail)``; :func:`store_ready_check` and
-:func:`plan_cache_ready_check` build the two standard ones.  Starting the
-server re-reads the slow-query and event-log environment configuration
-(``refresh_slow_query_config``/``refresh_event_config``) so a long-lived
-process can arm its diagnostics at mount time without restarting.
+``(bool, detail)``; :func:`store_ready_check`,
+:func:`store_integrity_check` and :func:`plan_cache_ready_check` build the
+standard ones.  Starting the server re-reads the event-log and query-log
+environment configuration (``refresh_event_config``/``refresh_qlog_config``,
+the slow-query threshold included) so a long-lived process can arm its
+diagnostics at mount time without restarting.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from repro.obs import events as _events
-from repro.obs import profile as _profile
 from repro.obs import qlog as _qlog
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -178,14 +179,11 @@ class TelemetryApp:
             status = "200 OK" if ready else "503 Service Unavailable"
             return status, _JSON, _json_body({"ready": ready, "checks": checks})
         if path == "/debug/slow":
-            entries = _profile.slow_queries()
-            limit = _int_param(query, "limit")
-            if limit is not None:
-                entries = entries[-limit:] if limit > 0 else []
+            entries = _qlog.slow_queries(limit=_int_param(query, "limit"))
             if (query.get("format") or ["json"])[0] == "jsonl":
                 return "200 OK", _JSONL, _qlog.export_jsonl(entries)
             return "200 OK", _JSON, _json_body(
-                {"threshold_ms": _profile.slow_query_ms(), "slow_queries": entries}
+                {"threshold_ms": _qlog.slow_query_ms(), "slow_queries": entries}
             )
         if path == "/debug/events":
             kind = (query.get("kind") or [None])[0]
@@ -279,12 +277,10 @@ def start_telemetry_server(
     """Serve the telemetry endpoints in-process; returns the live server.
 
     ``port=0`` binds an ephemeral port (read it back from ``server.port``).
-    Starting the server re-reads ``REPRO_SLOW_QUERY_MS`` /
-    ``REPRO_SLOW_QUERY_LOG`` / ``REPRO_EVENTS`` / ``REPRO_EVENT_LOG`` /
-    ``REPRO_QLOG`` / ``REPRO_QUERY_LOG`` so a long-lived process picks up
-    diagnostics armed after import.
+    Starting the server re-reads ``REPRO_EVENTS`` / ``REPRO_EVENT_LOG`` /
+    ``REPRO_QLOG`` / ``REPRO_QUERY_LOG`` / ``REPRO_SLOW_QUERY_MS`` so a
+    long-lived process picks up diagnostics armed after import.
     """
-    _profile.refresh_slow_query_config()
     _events.refresh_event_config()
     _qlog.refresh_qlog_config()
     if app is None:

@@ -1,4 +1,4 @@
-"""Per-operator profiling for the three NRC evaluators + the slow-query log.
+"""Per-operator profiling for the three NRC evaluators.
 
 ``repro explain --analyze`` needs to answer "where does this query spend
 its time" under any evaluation method, without taxing production paths.
@@ -21,43 +21,25 @@ Profiling therefore never instruments the programs a
 
 Times are *inclusive* (each operator's total includes its children, as in
 ``EXPLAIN ANALYZE``); the renderer derives self-time by subtracting direct
-children.
-
-The **slow-query log** arms from ``REPRO_SLOW_QUERY_MS``: when set, every
-:meth:`PreparedQuery.evaluate` that exceeds the threshold records query
-text, method, codegen decline reason, stage timings and duration into a
-bounded in-process buffer (:func:`slow_queries`) and, when
-``REPRO_SLOW_QUERY_LOG`` names a file, appends the entry as JSONL.
-Disarmed cost inside ``evaluate``: one module-global read.
+children.  Slow calls are found through the query log
+(:func:`repro.obs.qlog.slow_queries`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
-from collections import deque
 from typing import Any, Mapping
 
 from repro.errors import UXQueryEvalError
 from repro.kcollections.kset import KSet
 from repro.nrc.ast import Expr
 from repro.nrc.compile_eval import CompiledExpr, _Compiler
-from repro.obs.events import emit
-from repro.obs.metrics import default_registry
 
 __all__ = [
     "Profiler",
     "ProfileReport",
     "ProfilingCompiler",
     "profile_evaluate",
-    "slow_queries",
-    "clear_slow_queries",
-    "record_slow_query",
-    "refresh_slow_query_config",
-    "slow_query_ms",
-    "slow_query_threshold",
 ]
 
 _PROFILE_METHODS = ("nrc-codegen", "nrc", "nrc-interp")
@@ -306,102 +288,3 @@ def profile_evaluate(prepared: Any, env: Mapping[str, Any] | None = None,
         method, profiler, _perf() - started, generated=True
     )
 
-
-# ---------------------------------------------------------------------------
-# Slow-query log
-# ---------------------------------------------------------------------------
-ENV_SLOW_MS = "REPRO_SLOW_QUERY_MS"
-ENV_SLOW_LOG = "REPRO_SLOW_QUERY_LOG"
-
-#: The armed threshold in milliseconds; ``None`` disarms (one global read
-#: on the evaluate path).
-_SLOW_MS: float | None = None
-_SLOW_LOG_PATH: str | None = None
-_SLOW_BUFFER: deque = deque(maxlen=256)
-_SLOW_LOCK = threading.Lock()
-
-_SLOW_COUNTER = default_registry().counter(
-    "repro_slow_queries_total",
-    "Evaluations that exceeded the REPRO_SLOW_QUERY_MS threshold",
-)
-
-
-def refresh_slow_query_config(environ: Mapping[str, str] | None = None) -> None:
-    """(Re-)read the slow-query env vars; call after mutating os.environ."""
-    global _SLOW_MS, _SLOW_LOG_PATH
-    environ = environ if environ is not None else os.environ
-    raw = environ.get(ENV_SLOW_MS)
-    if raw is None or raw.strip() == "":
-        _SLOW_MS = None
-    else:
-        try:
-            _SLOW_MS = float(raw)
-        except ValueError:
-            _SLOW_MS = None
-    _SLOW_LOG_PATH = environ.get(ENV_SLOW_LOG) or None
-
-
-def slow_query_ms() -> float | None:
-    """The armed threshold (ms), or ``None`` when the log is disarmed."""
-    return _SLOW_MS
-
-
-#: Re-read the env vars about every this-many evaluate calls, so a
-#: long-lived process that sets ``REPRO_SLOW_QUERY_MS`` after import picks
-#: it up without restarting (the telemetry server also refreshes
-#: explicitly on start).  The probe is a plain integer bump — no clock,
-#: no syscall — and the env read itself is a cached-dict lookup.
-_SLOW_REFRESH_EVERY = 1024
-_slow_probe = 0
-
-
-def slow_query_threshold() -> float | None:
-    """The armed threshold (ms) with a cheap periodic env re-check.
-
-    This is what the serving path calls once per evaluate: normally one
-    module-global read plus a counter bump; every
-    :data:`_SLOW_REFRESH_EVERY` calls it re-reads the environment so the
-    slow log can be armed/disarmed in a running process.  (The benign race
-    on the probe counter only changes *when* a refresh happens.)
-    """
-    global _slow_probe
-    _slow_probe += 1
-    if _slow_probe >= _SLOW_REFRESH_EVERY:
-        _slow_probe = 0
-        refresh_slow_query_config()
-    return _SLOW_MS
-
-
-def record_slow_query(entry: dict[str, Any]) -> None:
-    """Record one slow evaluation (bounded buffer + optional JSONL file)."""
-    entry = dict(entry, timestamp=time.time())
-    with _SLOW_LOCK:
-        _SLOW_BUFFER.append(entry)
-    _SLOW_COUNTER.inc()
-    emit(
-        "query.slow",
-        duration_ms=entry.get("duration_ms"),
-        method=entry.get("method"),
-        semiring=entry.get("semiring"),
-    )
-    path = _SLOW_LOG_PATH
-    if path:
-        try:
-            with open(path, "a", encoding="utf-8") as log:
-                log.write(json.dumps(entry) + "\n")
-        except OSError:  # pragma: no cover - log dir vanished
-            pass
-
-
-def slow_queries() -> list[dict[str, Any]]:
-    """The buffered slow-query entries, oldest first."""
-    with _SLOW_LOCK:
-        return list(_SLOW_BUFFER)
-
-
-def clear_slow_queries() -> None:
-    with _SLOW_LOCK:
-        _SLOW_BUFFER.clear()
-
-
-refresh_slow_query_config()

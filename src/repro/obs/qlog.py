@@ -1,16 +1,27 @@
-"""Structured query log: per-evaluation records keyed by a stable plan signature.
+"""Structured query log: one record per user-level call, keyed by a stable plan signature.
 
-The slow-query log (:mod:`repro.obs.profile`) samples the tail and the
-flight recorder (:mod:`repro.obs.events`) captures cold operational events;
-what neither answers is *which queries dominate a workload*.  This module
-is the attribution layer: every evaluation site — engine
-:meth:`~repro.uxquery.engine.PreparedQuery.evaluate`, the exec layer's
-batch/shard entry points, the store's ``query``/``query_many``, IVM
-maintenance — appends one typed record to a bounded thread-safe ring, and
-(when capture is armed) mirrors it to a size-rotated JSONL file that
-``repro replay`` can re-run and ``repro report`` can aggregate offline.
+Every entry point — engine :meth:`~repro.uxquery.engine.PreparedQuery.evaluate`,
+:meth:`~repro.exec.batch.BatchEvaluator.evaluate_many`, the store's
+``query``/``query_many`` and IVM :meth:`~repro.ivm.view.MaterializedView.apply`
+— wraps its work in one :func:`observe` scope::
 
-Records are keyed by the **plan signature**
+    with observe("store.query", prepared, doc=doc_id) as obs:
+        result = ...
+        return obs.done(result, method="nrc-codegen", plan=plan, pushdown=how)
+
+The scope owns the site's span, the clock pair, the thread-local nesting
+guard (only the outermost scope in a thread records, so one user call
+yields exactly one record), the query-log record and the slow-query check.
+A call that raises records nothing.  Each record's ``method`` names what
+served the call: ``index`` for a full pushdown, ``nrc`` when codegen
+declined, the requested evaluator otherwise, and ``ivm-incremental`` /
+``ivm-recompute`` for view maintenance; ``codegen`` is true exactly when
+``method`` is ``nrc-codegen``.
+
+Records land in a bounded ring (the :class:`~repro.obs.events.Ring` the
+flight recorder uses too) and, when capture is armed, a size-rotated JSONL
+file that ``repro replay`` can re-run and ``repro report`` can aggregate
+offline.  Records are keyed by the **plan signature**
 (:func:`repro.uxquery.engine.plan_signature`): a stable hash of the
 simplified NRC form, the semiring name and the env types, computed once at
 prepare time.  Equal plans hash equally across processes, so per-signature
@@ -18,14 +29,23 @@ aggregations (latency histograms, the ``/debug/queries`` endpoint, the
 capture-vs-replay report) line up between a capture run, its replay, and a
 scraped production process.
 
+**Slow queries** are a view of the same stream.  With
+``REPRO_SLOW_QUERY_MS`` set, a user-level call at or over the threshold is
+recorded even while the log is off, bumps ``repro_slow_queries_total`` and
+emits one ``query.slow`` event; :func:`slow_queries` (``/debug/slow``) lists
+the ring's records over the threshold, and trace tail promotion reads the
+same threshold.  :func:`observe` re-reads the threshold (and only the
+threshold) from the environment every 1024 calls, so a long-lived process
+can arm it without a restart.
+
 Cost discipline (the ``fail_point`` contract): the log is **disarmed by
-default** — unlike the flight recorder it hooks the per-evaluate hot path —
-and every site pays one module-global read when disarmed.  Arming:
+default**, and a disarmed :func:`observe` costs a few module-global reads
+and never reads the clock.  Arming:
 
 * ``REPRO_QUERY_LOG=FILE`` — ring + per-signature metrics + JSONL capture
   (records gain a ``digest`` so replay can verify results);
 * ``REPRO_QLOG=on`` — ring + per-signature metrics, no file;
-* :func:`set_recording` / the :class:`recording` context manager.
+* :func:`set_recording` / the :func:`recording` context manager.
 
 ``REPRO_QUERY_LOG_MAX_BYTES`` (default 64 MiB) bounds the capture file —
 it rotates to ``FILE.1``, ``FILE.2``, ... keeping
@@ -33,40 +53,43 @@ it rotates to ``FILE.1``, ``FILE.2``, ... keeping
 cardinality is bounded: the first :data:`SIGNATURE_LIMIT` distinct
 signatures get their own histogram series, the rest share ``other``.
 
-Import-weight note: like :mod:`repro.obs.events` this module depends only
-on :mod:`repro.obs.metrics` and :mod:`repro.obs.trace`, so the engine can
+Import-weight note: this module depends only on :mod:`repro.obs.metrics`,
+:mod:`repro.obs.trace` and :mod:`repro.obs.events`, so the engine can
 import it at module level without cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
-from collections import deque
-from typing import Any, Iterable, Mapping
+from contextlib import contextmanager
+from time import perf_counter as _perf
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.obs import trace as _trace
+from repro.obs.events import Ring, emit, export_jsonl
 from repro.obs.metrics import LATENCY_BUCKETS, default_registry
 
 __all__ = [
     "RECORD_VERSION",
     "OTHER_SIGNATURE",
     "SIGNATURE_LIMIT",
+    "observe",
     "record",
     "recent_records",
     "clear_records",
+    "slow_queries",
+    "slow_query_ms",
     "export_jsonl",
     "result_digest",
     "is_recording",
     "set_recording",
     "recording",
-    "suppress",
-    "suppressed",
     "ring_capacity",
     "set_ring_capacity",
+    "capture_path",
     "signature_stats",
     "clear_signature_stats",
     "aggregate_records",
@@ -77,12 +100,14 @@ __all__ = [
     "ENV_QLOG_FILE",
     "ENV_QLOG_MAX_BYTES",
     "ENV_QLOG_KEEP",
+    "ENV_SLOW_MS",
 ]
 
 ENV_QLOG = "REPRO_QLOG"
 ENV_QLOG_FILE = "REPRO_QUERY_LOG"
 ENV_QLOG_MAX_BYTES = "REPRO_QUERY_LOG_MAX_BYTES"
 ENV_QLOG_KEEP = "REPRO_QUERY_LOG_KEEP"
+ENV_SLOW_MS = "REPRO_SLOW_QUERY_MS"
 
 RECORD_VERSION = 1
 DEFAULT_RING_CAPACITY = 1024
@@ -95,15 +120,21 @@ DEFAULT_KEEP = 1
 SIGNATURE_LIMIT = 32
 OTHER_SIGNATURE = "other"
 
-#: One global read decides the disarmed path; writers hold _RING_LOCK.
+#: The disarmed path of :func:`observe` reads these two globals (plus the
+#: tracer's) and nothing else.
 _RECORDING = False
-_RING: deque = deque(maxlen=DEFAULT_RING_CAPACITY)
-_RING_LOCK = threading.Lock()
-_SEQ = 0
-_LOG_PATH: str | None = None
-_LOG_MAX_BYTES = DEFAULT_MAX_BYTES
-_LOG_KEEP = DEFAULT_KEEP
-_ROTATE_LOCK = threading.Lock()
+_SLOW_MS: float | None = None
+_RING = Ring(DEFAULT_RING_CAPACITY)
+
+#: :func:`observe` re-reads ``REPRO_SLOW_QUERY_MS`` about every this-many
+#: calls.  The probe is a plain integer bump (the benign race on it only
+#: changes *when* a re-read happens); the env read is a dict lookup.
+_REFRESH_EVERY = 1024
+_probe = 0
+
+#: The sites that own a span named after their op; the batch and
+#: ``query_many`` sites are covered by their fan-out spans.
+_SPAN_SITES = frozenset({"evaluate", "store.query", "ivm.apply"})
 
 _TRUTHY = ("on", "1", "true", "yes")
 _FALSY = ("off", "0", "false", "no")
@@ -111,6 +142,10 @@ _FALSY = ("off", "0", "false", "no")
 _REGISTRY = default_registry()
 _RECORD_COUNTER = _REGISTRY.counter(
     "repro_qlog_records_total", "Query-log records by operation"
+)
+_SLOW_COUNTER = _REGISTRY.counter(
+    "repro_slow_queries_total",
+    "User-level calls at or over the REPRO_SLOW_QUERY_MS threshold",
 )
 #: Per-signature latency distribution on the sub-millisecond preset:
 #: DEFAULT_BUCKETS starts at 1ms while the hot path runs ~100us, which
@@ -129,6 +164,9 @@ _SIG_STATS: dict[str, dict[str, Any]] = {}
 _SIG_LOCK = threading.Lock()
 
 
+# ---------------------------------------------------------------------------
+# observe(): the one instrumentation scope every entry point uses
+# ---------------------------------------------------------------------------
 class _Nesting(threading.local):
     depth = 0
 
@@ -136,23 +174,115 @@ class _Nesting(threading.local):
 _NESTING = _Nesting()
 
 
-def suppressed() -> bool:
-    """True inside an outer record site (store/exec/ivm): records emitted
-    deeper in the same thread are dropped so one user call yields exactly
-    one record, owned by the outermost armed site."""
-    return _NESTING.depth > 0
+class _Disarmed:
+    """The shared scope :func:`observe` returns when nothing is armed."""
 
+    __slots__ = ()
 
-class suppress:
-    """Scope marking an outer record site; records emitted inside (engine
-    evaluations, a batch under a shard or store call) are dropped."""
-
-    def __enter__(self) -> "suppress":
-        _NESTING.depth += 1
+    def __enter__(self) -> "_Disarmed":
         return self
 
     def __exit__(self, *exc: Any) -> None:
+        return None
+
+    def annotate(self, **attrs: Any) -> None:
+        return None
+
+    def done(self, result: Any, method: str, plan: Any = None, **fields: Any) -> Any:
+        return result
+
+
+_DISARMED = _Disarmed()
+
+
+class _Observation:
+    """One armed :func:`observe` scope."""
+
+    __slots__ = ("op", "prepared", "fields", "_span", "_outer", "_started", "_outcome")
+
+    def __init__(self, op: str, prepared: Any, fields: dict[str, Any]):
+        self.op = op
+        self.prepared = prepared
+        self.fields = fields
+        self._span = _trace.span(op, **fields) if op in _SPAN_SITES else _trace._NULL
+        self._outcome: tuple | None = None
+
+    def __enter__(self) -> "_Observation":
+        self._span.__enter__()
+        self._outer = _NESTING.depth == 0
+        _NESTING.depth += 1
+        self._started = _perf()
+        return self
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to the site's span."""
+        self._span.annotate(**attrs)
+
+    def done(self, result: Any, method: str, plan: Any = None, **fields: Any) -> Any:
+        """Stamp the call's outcome and return ``result``.
+
+        ``method`` names what served the call; ``"nrc-codegen"`` becomes
+        ``"nrc"`` when ``plan`` (default: the observed plan) declined
+        codegen.  ``fields`` add store/IVM fields to the record.  Only the
+        outermost scope keeps its outcome; the record is written when the
+        scope exits without an exception.
+        """
+        if self._outer:
+            self._outcome = (result, method, plan, fields)
+        return result
+
+    def __exit__(self, *exc: Any) -> None:
+        seconds = _perf() - self._started
         _NESTING.depth -= 1
+        self._span.__exit__(*exc)
+        if self._outcome is not None and exc[0] is None:
+            _finish(self, seconds)
+
+
+def observe(op: str, prepared: Any, **fields: Any) -> _Observation | _Disarmed:
+    """The instrumentation scope of one entry-point call.
+
+    ``op`` names the site (``evaluate``, ``exec.batch``, ``store.query``,
+    ``store.query_many``, ``ivm.apply``) and ``prepared`` the plan it
+    serves; ``fields`` label both the site's span and its record.  Use as
+    ``with observe(...) as obs:`` and finish with ``obs.done(result,
+    method=...)``.  Disarmed — no query log, no slow-query threshold, no
+    tracer — it returns a shared no-op after a few global reads.
+    """
+    global _probe, _SLOW_MS
+    _probe += 1
+    if _probe >= _REFRESH_EVERY:
+        _probe = 0
+        _SLOW_MS = _threshold(os.environ)
+    if _RECORDING or _SLOW_MS is not None or _trace._ACTIVE:
+        return _Observation(op, prepared, fields)
+    return _DISARMED
+
+
+def _finish(scope: _Observation, seconds: float) -> None:
+    """Write the outermost scope's record if the log is on or it was slow."""
+    result, method, plan, fields = scope._outcome
+    threshold = _SLOW_MS
+    slow = threshold is not None and seconds * 1000.0 >= threshold
+    if not (_RECORDING or slow):
+        return
+    if plan is None:
+        plan = scope.prepared
+    if method == "nrc-codegen" and getattr(plan, "generated", None) is None:
+        method = "nrc"
+    entry = _append(
+        scope.prepared, scope.op, method, seconds, result, {**scope.fields, **fields}
+    )
+    if slow:
+        _SLOW_COUNTER.inc()
+        emit(
+            "query.slow",
+            op=scope.op,
+            duration_ms=entry["ms"],
+            method=method,
+            semiring=entry["semiring"],
+            sig=entry["sig"],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +372,31 @@ def record(
     seconds: float,
     *,
     result: Any = None,
-    rows: int | None = None,
-    cache_hit: bool | None = None,
-    pushdown: str | None = None,
-    store: str | None = None,
-    doc: str | None = None,
-    docs: list | None = None,
-    var: str | None = None,
-    merge: bool | None = None,
+    **fields: Any,
 ) -> dict[str, Any] | None:
-    """Append one query-log record; returns it (``None`` when disarmed).
+    """Append one query-log record directly; returns it (``None`` when disarmed).
 
-    ``prepared`` supplies the signature, query text, semiring and env types;
-    ``op`` names the record site (``evaluate``, ``store.query``,
-    ``store.query_many``, ``exec.batch``, ``exec.shard``, ``ivm.apply``).
-    Records emitted inside a :class:`suppress` scope are dropped so the
-    outermost armed site owns the record for its whole call.
+    Entry points go through :func:`observe`; this is the raw append for
+    tools and tests.  ``prepared`` supplies the signature, query text,
+    semiring and env types; ``fields`` (``pushdown``, ``store``, ``doc``,
+    ``docs``, ``var``, ``merge``, ...) are added when not ``None``.
     """
     if not _RECORDING:
         return None
-    if _NESTING.depth > 0:
-        return None
-    if rows is None:
-        rows = _count_rows(result) if result is not None else 0
-    if cache_hit is None:
-        cache_hit = bool(getattr(prepared, "_plan_cache_hit", False))
+    return _append(prepared, op, method, seconds, result, fields)
+
+
+def _append(
+    prepared: Any,
+    op: str,
+    method: str,
+    seconds: float,
+    result: Any,
+    fields: Mapping[str, Any],
+) -> dict[str, Any]:
     signature = getattr(prepared, "signature", None) or ""
     query_text = str(getattr(prepared, "surface", ""))
+    rows = _count_rows(result) if result is not None else 0
     entry: dict[str, Any] = {
         "v": RECORD_VERSION,
         "ts": time.time(),
@@ -280,102 +408,51 @@ def record(
         "method": method,
         "ms": seconds * 1000.0,
         "rows": rows,
-        "cache_hit": cache_hit,
-        "codegen": getattr(prepared, "generated", None) is not None,
+        "cache_hit": bool(getattr(prepared, "_plan_cache_hit", False)),
+        "codegen": method == "nrc-codegen",
         "trace_id": _trace.current_trace_id(),
         "pid": os.getpid(),
         "tid": threading.get_ident(),
     }
-    if pushdown is not None:
-        entry["pushdown"] = pushdown
-    if store is not None:
-        entry["store"] = store
-    if doc is not None:
-        entry["doc"] = doc
-    if docs is not None:
-        entry["docs"] = list(docs)
-    if var is not None:
-        entry["var"] = var
-    if merge is not None:
-        entry["merge"] = bool(merge)
-    path = _LOG_PATH
-    if path and result is not None:
+    for name, value in fields.items():
+        # Site fields extend the record; they never replace a core key
+        # (the ``evaluate`` span's requested ``method`` is not the served one).
+        if value is not None and name not in entry:
+            entry[name] = value
+    if _RING.path and result is not None:
         # Digests are computed only when capture is armed: replay needs
         # them, the in-memory ring does not pay for them.
         entry["digest"] = result_digest(result)
-    global _SEQ
-    with _RING_LOCK:
-        _SEQ += 1
-        entry["seq"] = _SEQ
-        _RING.append(entry)
+    _RING.append(entry)
     label = _account(signature, query_text, op, seconds, rows)
     _RECORD_COUNTER.inc(op=op)
     _QUERY_LATENCY.observe(seconds, signature=label)
-    if path:
-        _append_line(path, json.dumps(entry, default=str) + "\n")
     return entry
-
-
-def _append_line(path: str, line: str) -> None:
-    """One JSONL append plus the size-rotation check (cross-process safe)."""
-    try:
-        with open(path, "a", encoding="utf-8") as log:
-            log.write(line)
-            size = log.tell()
-    except OSError:  # pragma: no cover - log dir vanished
-        return
-    if _LOG_MAX_BYTES and size >= _LOG_MAX_BYTES:
-        _rotate(path)
-
-
-def _rotate(path: str) -> None:
-    """Shift ``path`` -> ``path.1`` -> ... keeping ``_LOG_KEEP`` generations.
-
-    Another process may rotate concurrently — every rename is individually
-    best-effort, so a lost race drops at most one generation, never a
-    record from the active file.
-    """
-    with _ROTATE_LOCK:
-        try:
-            if os.path.getsize(path) < _LOG_MAX_BYTES:
-                return  # another thread/process already rotated
-        except OSError:
-            return
-        for generation in range(_LOG_KEEP, 0, -1):
-            source = path if generation == 1 else f"{path}.{generation - 1}"
-            target = f"{path}.{generation}"
-            try:
-                os.replace(source, target)
-            except OSError:
-                continue
-        if _LOG_KEEP < 1:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
 
 
 def recent_records(
     op: str | None = None, limit: int | None = None
 ) -> list[dict[str, Any]]:
     """A snapshot of the ring, oldest first (optionally filtered/tailed)."""
-    with _RING_LOCK:
-        snapshot = list(_RING)
-    if op is not None:
-        snapshot = [entry for entry in snapshot if entry["op"] == op]
-    if limit is not None and limit >= 0:
-        snapshot = snapshot[-limit:] if limit else []
-    return snapshot
+    return _RING.recent(limit, None if op is None else lambda entry: entry["op"] == op)
 
 
 def clear_records() -> None:
-    with _RING_LOCK:
-        _RING.clear()
+    _RING.clear()
 
 
-def export_jsonl(entries: Iterable[Mapping[str, Any]]) -> str:
-    """One JSON object per line, in record order."""
-    return "".join(json.dumps(dict(entry), default=str) + "\n" for entry in entries)
+def slow_queries(limit: int | None = None) -> list[dict[str, Any]]:
+    """The ring's records at or over the slow-query threshold, oldest first
+    (none while the threshold is unset)."""
+    threshold = _SLOW_MS
+    if threshold is None:
+        return []
+    return _RING.recent(limit, lambda entry: entry["ms"] >= threshold)
+
+
+def slow_query_ms() -> float | None:
+    """The armed slow-query threshold (ms), or ``None``."""
+    return _SLOW_MS
 
 
 # ---------------------------------------------------------------------------
@@ -566,60 +643,58 @@ def set_recording(enabled: bool) -> bool:
     return previous
 
 
-class recording:
+@contextmanager
+def recording(enabled: bool = True) -> Iterator[None]:
     """Scoped recorder toggle (tests force-arm, benchmarks force-disarm)."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._previous: bool | None = None
-
-    def __enter__(self) -> "recording":
-        self._previous = set_recording(self.enabled)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._previous is not None:
-            set_recording(self._previous)
+    previous = set_recording(enabled)
+    try:
+        yield
+    finally:
+        set_recording(previous)
 
 
 def ring_capacity() -> int:
-    return _RING.maxlen or 0
+    return _RING.capacity
 
 
 def set_ring_capacity(capacity: int) -> None:
     """Resize the ring, preserving the newest records that still fit."""
-    global _RING
-    if capacity < 1:
-        raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-    with _RING_LOCK:
-        _RING = deque(_RING, maxlen=capacity)
+    _RING.resize(capacity)
 
 
 def capture_path() -> str | None:
     """The armed JSONL capture file, or ``None``."""
-    return _LOG_PATH
+    return _RING.path
+
+
+def _threshold(environ: Mapping[str, str]) -> float | None:
+    raw = (environ.get(ENV_SLOW_MS) or "").strip()
+    try:
+        return float(raw) if raw else None
+    except ValueError:
+        return None
+
+
+def _int_env(environ: Mapping[str, str], name: str, default: int) -> int:
+    try:
+        return int(environ.get(name) or default)
+    except ValueError:
+        return default
 
 
 def refresh_qlog_config(environ: Mapping[str, str] | None = None) -> None:
-    """(Re-)read the query-log env vars; call after mutating ``os.environ``
-    (the telemetry server and the replay/report/follow long-runners do)."""
-    global _RECORDING, _LOG_PATH, _LOG_MAX_BYTES, _LOG_KEEP
+    """(Re-)read the query-log and slow-query env vars; call after mutating
+    ``os.environ`` (the telemetry server and the replay/report/follow
+    long-runners do)."""
+    global _RECORDING, _SLOW_MS
     environ = environ if environ is not None else os.environ
     raw = (environ.get(ENV_QLOG) or "").strip().lower()
     path = environ.get(ENV_QLOG_FILE) or None
-    if raw in _FALSY:
-        _RECORDING = False
-    else:
-        _RECORDING = raw in _TRUTHY or path is not None
-    _LOG_PATH = path
-    try:
-        _LOG_MAX_BYTES = int(environ.get(ENV_QLOG_MAX_BYTES) or DEFAULT_MAX_BYTES)
-    except ValueError:
-        _LOG_MAX_BYTES = DEFAULT_MAX_BYTES
-    try:
-        _LOG_KEEP = int(environ.get(ENV_QLOG_KEEP) or DEFAULT_KEEP)
-    except ValueError:
-        _LOG_KEEP = DEFAULT_KEEP
+    _RECORDING = raw not in _FALSY and (raw in _TRUTHY or path is not None)
+    _RING.path = path if _RECORDING else None
+    _RING.max_bytes = _int_env(environ, ENV_QLOG_MAX_BYTES, DEFAULT_MAX_BYTES)
+    _RING.keep = _int_env(environ, ENV_QLOG_KEEP, DEFAULT_KEEP)
+    _SLOW_MS = _threshold(environ)
 
 
 refresh_qlog_config()

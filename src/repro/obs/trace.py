@@ -276,16 +276,6 @@ def span(name: str, **attrs: Any):
     return _LiveSpan(tracer, name, attrs)
 
 
-def _slow_threshold_ms() -> float | None:
-    """The slow-query threshold used for tail promotion (lazy import:
-    :mod:`repro.obs.profile` pulls the compiler stack)."""
-    try:
-        from repro.obs import profile as _profile
-    except ImportError:  # pragma: no cover - partial install
-        return None
-    return _profile.slow_query_ms()
-
-
 class tracing:
     """Context manager arming a (new or given) tracer process-wide.
 
@@ -328,8 +318,11 @@ class tracing:
             return
         # Tail promotion: a sampled-out scope slower than the slow-query
         # threshold is always kept — as one synthetic root span, since the
-        # per-operator spans were (deliberately) never recorded.
-        threshold_ms = _slow_threshold_ms()
+        # per-operator spans were (deliberately) never recorded.  (The query
+        # log owns the threshold and imports this module, hence the late import.)
+        from repro.obs.qlog import slow_query_ms
+
+        threshold_ms = slow_query_ms()
         if threshold_ms is not None and elapsed * 1000.0 >= threshold_ms:
             root = Span(
                 self.tracer.trace_id, uuid.uuid4().hex[:16], None,

@@ -17,8 +17,7 @@ Five cooperating pieces
 * :mod:`repro.store.pushdown` — :func:`split_navigation` /
   :class:`PushdownExecutor`: statically recognize the step-chain prefix of a
   prepared plan, serve it from the indexes, and evaluate only the residual
-  fragment — with single-shot fallback whenever the recognizer declines
-  (the same gate-and-fall-back discipline as :mod:`repro.exec.shard`).
+  fragment — with single-shot fallback whenever the recognizer declines.
 * :mod:`repro.store.wal` / :mod:`repro.store.snapshot` — durability: an
   append-only JSONL write-ahead log of store operations (deltas as the
   update records) plus atomic snapshots of the shredded columns; recovery is

@@ -16,8 +16,7 @@ The split is *exact by construction*: the replaced subexpression's value is
 computed once (from the indexes, whose step semantics agree with the
 direct/NRC/Datalog semantics for every registry semiring — see
 :mod:`repro.store.index`) and substituted for a free subexpression, which is
-just compositional evaluation.  What is *gated statically* — the same way
-:func:`repro.exec.shard.is_linear_in` gates shard-merging — is whether the
+just compositional evaluation.  What is *gated statically* is whether the
 split applies at all:
 
 * every free occurrence of the document variable must be the source of the
@@ -226,28 +225,17 @@ class PushdownExecutor:
         index: StructuralIndex,
         var: str,
         env: Mapping[str, Any] | None = None,
-    ) -> Any:
+    ) -> Tuple[Any, str, Optional[PreparedQuery]]:
         """Evaluate ``prepared`` over the stored document behind ``index``.
 
-        Exactly equal to ``prepared.evaluate({**env, var: document})`` for
-        every query and semiring; the pushdown path is taken when the static
-        split applies, the single-shot fallback otherwise.
+        Returns ``(result, how, plan)``.  The result is exactly
+        ``prepared.evaluate({**env, var: document})`` for every query and
+        semiring.  ``how`` says how the call was served — ``"fallback"``
+        (single-shot, when the static split declines), ``"pushdown"``
+        (index-served prefix + residual) or ``"full-pushdown"`` (index
+        only) — and ``plan`` is the plan that ran: ``prepared`` itself, the
+        residual plan, or ``None`` for a full pushdown.
         """
-        result, _how = self.execute_explained(prepared, index, var, env)
-        return result
-
-    def execute_explained(
-        self,
-        prepared: PreparedQuery,
-        index: StructuralIndex,
-        var: str,
-        env: Mapping[str, Any] | None = None,
-    ) -> Tuple[Any, str]:
-        """:meth:`execute` plus how the call was served: ``"fallback"``
-        (single-shot), ``"pushdown"`` (index-served prefix + residual) or
-        ``"full-pushdown"`` (index-only, no residual evaluation) — the
-        per-call view of the cumulative pushdown counters, recorded into
-        the query log by :meth:`DocumentStore.query`."""
         if prepared.semiring != index.semiring:
             raise StoreError(
                 f"query over {prepared.semiring.name} cannot run against a "
@@ -264,13 +252,13 @@ class PushdownExecutor:
             with span("store.query.fallback"):
                 bindings = dict(extra)
                 bindings[var] = index.forest()
-                return prepared.evaluate(bindings), "fallback"
+                return prepared.evaluate(bindings), "fallback", prepared
         with span("store.query.navigate", steps=len(split.steps)):
             navigated = index.navigate(split.steps)
         self.pushdowns += 1
         if split.trivial:
             self.full_pushdowns += 1
-            return navigated, "full-pushdown"
+            return navigated, "full-pushdown", None
         with span("store.query.residual"):
             residual_types = {
                 name: kind for name, kind in prepared.env_types.items() if name != var
@@ -281,4 +269,4 @@ class PushdownExecutor:
             )
             bindings = dict(extra)
             bindings[NAV_VAR] = navigated
-            return residual_plan.evaluate(bindings), "pushdown"
+            return residual_plan.evaluate(bindings), "pushdown", residual_plan

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from time import perf_counter as _perf
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from repro.errors import StoreError
@@ -41,10 +40,9 @@ from repro.exec.plan_cache import PlanCache
 from repro.ivm.delta import Delta
 from repro.ivm.view import MaterializedView
 from repro.kcollections.kset import KSet
-from repro.obs import qlog as _qlog
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
-from repro.obs.trace import span
+from repro.obs.qlog import observe
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits
 from repro.semirings.base import Semiring
@@ -414,30 +412,16 @@ class DocumentStore:
             env_types.update(env_types_of({k: v for k, v in env.items() if k != var}))
         prepared = self.plan_cache.get(query, self.semiring, env_types=env_types)
         self._queries += 1
-        # Query log: one module-global read when disarmed; armed, the store
-        # owns the record (nested engine-level records are suppressed) and
-        # stamps it with the per-call pushdown outcome and the store label.
-        if not _qlog._RECORDING:
-            with span("store.query", doc=stored.doc_id):
-                return self._pushdown.execute(prepared, stored.index, var, env)
-        started = _perf()
-        with span("store.query", doc=stored.doc_id):
-            with _qlog.suppress():
-                result, how = self._pushdown.execute_explained(
-                    prepared, stored.index, var, env
-                )
-        _qlog.record(
-            prepared,
-            "store.query",
-            "nrc-codegen",
-            _perf() - started,
-            result=result,
-            pushdown=how,
-            store=self._metrics_label,
-            doc=stored.doc_id,
-            var=var,
-        )
-        return result
+        with observe("store.query", prepared, doc=stored.doc_id) as obs:
+            result, how, plan = self._pushdown.execute(prepared, stored.index, var, env)
+            return obs.done(
+                result,
+                method="index" if how == "full-pushdown" else "nrc-codegen",
+                plan=plan,
+                pushdown=how,
+                store=self._metrics_label,
+                var=var,
+            )
 
     def query_many(
         self,
@@ -468,38 +452,18 @@ class DocumentStore:
         prepared = self.plan_cache.get(query, self.semiring, env_types=env_types)
         self._queries += len(ids)
         evaluator = BatchEvaluator(prepared, var=var)
-        qlogging = _qlog._RECORDING
-        started = _perf() if qlogging else 0.0
+        run = evaluator.evaluate_merged if merge else evaluator.evaluate_many
         try:
-            if qlogging:
-                with _qlog.suppress():
-                    if merge:
-                        result = evaluator.evaluate_merged(
-                            documents, env=env, executor=executor, limits=limits
-                        )
-                    else:
-                        result = evaluator.evaluate_many(
-                            documents, env=env, executor=executor, limits=limits
-                        )
-                _qlog.record(
-                    prepared,
-                    "store.query_many",
-                    "nrc-codegen",
-                    _perf() - started,
-                    result=result,
-                    store=self._metrics_label,
-                    docs=ids,
-                    var=var,
-                    merge=merge,
-                )
-                return result
-            if merge:
-                return evaluator.evaluate_merged(
-                    documents, env=env, executor=executor, limits=limits
-                )
-            return evaluator.evaluate_many(
-                documents, env=env, executor=executor, limits=limits
-            )
+            with observe(
+                "store.query_many",
+                prepared,
+                store=self._metrics_label,
+                docs=ids,
+                var=var,
+                merge=merge,
+            ) as obs:
+                result = run(documents, env=env, executor=executor, limits=limits)
+                return obs.done(result, method="nrc-codegen")
         finally:
             self._worker_retries += evaluator.worker_retries
             self._worker_degraded += evaluator.worker_degraded

@@ -48,9 +48,7 @@ from repro.nrc.codegen import CodegenProgram, compile_program
 from repro.nrc.compile_eval import CompiledExpr, compile_expr
 from repro.nrc.eval import evaluate as evaluate_nrc
 from repro.nrc.rewrite import simplify
-from repro.obs import profile as _obs_profile
-from repro.obs import qlog as _qlog
-from repro.obs import trace as _trace
+from repro.obs.qlog import observe
 from repro.obs.trace import span
 from repro.resilience.limits import EvalLimits, activate
 from repro.semirings.base import Semiring
@@ -248,7 +246,7 @@ class PreparedQuery:
         #: Wall time per prepare stage in seconds (parse is stamped by
         #: :func:`prepare_query` when it did the parsing).  Always recorded:
         #: a handful of clock reads against whole compilation passes, and
-        #: the slow-query log wants them after the fact.
+        #: ``repro explain --analyze`` reports them after the fact.
         self.stage_timings: dict[str, float] = {}
         timings = self.stage_timings
         started = _perf()
@@ -341,46 +339,15 @@ class PreparedQuery:
             return BatchEvaluator(self, var=document_var).evaluate_many(
                 documents, env=env, method=method, executor=executor, limits=limits
             )
-        # Slow-query log: one module-global read plus a refresh-probe bump
-        # when REPRO_SLOW_QUERY_MS is unset (the fail_point discipline,
-        # with a periodic env re-check so a long-lived process can arm the
-        # log without restarting), a clock pair when armed.  The query log
-        # shares the same clock pair — one extra module-global read when
-        # both are disarmed.
-        slow_ms = _obs_profile.slow_query_threshold()
-        qlogging = _qlog._RECORDING
-        started = _perf() if slow_ms is not None or qlogging else 0.0
-        if limits is None or not limits.is_bounded:
-            result = self._evaluate_traced(env, method)
-        else:
-            guard = limits.start()
-            with activate(guard):
-                result = self._evaluate_traced(env, method)
-                guard.check_result(result)
-        elapsed_s = _perf() - started if qlogging or slow_ms is not None else 0.0
-        if qlogging:
-            _qlog.record(self, "evaluate", method, elapsed_s, result=result)
-        if slow_ms is not None:
-            elapsed_ms = elapsed_s * 1000.0
-            if elapsed_ms >= slow_ms:
-                _obs_profile.record_slow_query({
-                    "query": str(self.surface),
-                    "method": method,
-                    "semiring": self.semiring.name,
-                    "duration_ms": elapsed_ms,
-                    "codegen_reason": self.codegen_reason,
-                    "stage_timings_ms": {
-                        stage: seconds * 1000.0
-                        for stage, seconds in self.stage_timings.items()
-                    },
-                })
-        return result
-
-    def _evaluate_traced(self, env: Mapping[str, Any] | None, method: str) -> Any:
-        if not _trace._ACTIVE:  # one global read on the disarmed path
-            return self._dispatch(env, method)
-        with span("evaluate", method=method, semiring=self.semiring.name):
-            return self._dispatch(env, method)
+        with observe("evaluate", self, method=method, semiring=self.semiring.name) as obs:
+            if limits is None or not limits.is_bounded:
+                result = self._dispatch(env, method)
+            else:
+                guard = limits.start()
+                with activate(guard):
+                    result = self._dispatch(env, method)
+                    guard.check_result(result)
+            return obs.done(result, method=method)
 
     def _dispatch(self, env: Mapping[str, Any] | None, method: str) -> Any:
         if method == "nrc-codegen":

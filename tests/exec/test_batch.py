@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ExecError
 from repro.exec import BatchEvaluator, infer_document_var
 from repro.kcollections import KSet
-from repro.semirings import NATURAL, PROVENANCE, standard_semirings
+from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, standard_semirings
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest
 
@@ -22,12 +22,33 @@ QUERIES = [
     "element out { for $x in $S return element hit { ($x)/* } }",
 ]
 
+#: Forest-valued queries that are linear in $S: per-document results over
+#: any split of a forest merge to the result on the whole forest.
+LINEAR_QUERIES = [
+    "($S)/*",
+    "($S)/*/*",
+    "($S)//c",
+    "for $x in $S return ($x)/*",
+]
+
 
 def _documents(semiring, count=6, seed=11):
     return [
         random_forest(semiring, num_trees=3, depth=3, fanout=2, seed=seed + index)
         for index in range(count)
     ]
+
+
+def _forest(semiring, num_trees=12, seed=23):
+    return random_forest(semiring, num_trees=num_trees, depth=3, fanout=2, seed=seed)
+
+
+def _split(forest, parts):
+    """Deal the members of ``forest`` round-robin into ``parts`` documents."""
+    buckets = [[] for _ in range(parts)]
+    for index, pair in enumerate(forest.items()):
+        buckets[index % parts].append(pair)
+    return [KSet(forest.semiring, bucket) for bucket in buckets]
 
 
 @pytest.mark.parametrize("semiring", REGISTRY_SEMIRINGS, ids=lambda s: s.name)
@@ -60,6 +81,93 @@ def test_batch_merged_is_pointwise_union(semiring):
     for document in documents:
         expected = expected.union(prepared.evaluate({"S": document}))
     assert merged == expected
+
+
+class TestMergedEqualsSingleShotOnTheWholeForest:
+    """Merged store reads and batched view maintenance rely on this."""
+
+    @pytest.mark.parametrize("semiring", REGISTRY_SEMIRINGS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("query", LINEAR_QUERIES)
+    def test_every_registry_semiring(self, semiring, query):
+        """Exact for the non-idempotent semirings too (N counts, N[X])."""
+        forest = _forest(semiring)
+        prepared = prepare_query(query, semiring, {"S": forest})
+        single = prepared.evaluate({"S": forest})
+        evaluator = BatchEvaluator(prepared)
+        one_per_tree = [KSet(semiring, [pair]) for pair in forest.items()]
+        assert evaluator.evaluate_merged(one_per_tree) == single
+        assert evaluator.evaluate_merged(_split(forest, 4)) == single
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 8, 100])
+    def test_split_counts_including_more_than_members(self, parts):
+        forest = _forest(NATURAL, num_trees=8)
+        prepared = prepare_query("($S)//c", NATURAL, {"S": forest})
+        single = prepared.evaluate({"S": forest})
+        documents = _split(forest, parts)
+        assert sum(len(document) for document in documents) == len(forest)
+        assert BatchEvaluator(prepared).evaluate_merged(documents) == single
+
+    @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE], ids=lambda s: s.name)
+    def test_thread_pool_matches_single_shot(self, semiring):
+        forest = _forest(semiring, num_trees=16)
+        prepared = prepare_query("($S)/*/*", semiring, {"S": forest})
+        single = prepared.evaluate({"S": forest})
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            merged = BatchEvaluator(prepared).evaluate_merged(
+                _split(forest, 4), executor=executor
+            )
+        assert merged == single
+
+    def test_process_pool_matches_single_shot(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        forest = _forest(NATURAL, num_trees=8)
+        prepared = prepare_query("($S)/*/*", NATURAL, {"S": forest})
+        single = prepared.evaluate({"S": forest})
+        with ProcessPoolExecutor(max_workers=2) as executor:
+            merged = BatchEvaluator(prepared).evaluate_merged(
+                _split(forest, 4), executor=executor
+            )
+        assert merged == single
+
+    def test_empty_forest(self):
+        forest = _forest(NATURAL)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        empty = KSet.empty(NATURAL)
+        single = prepared.evaluate({"S": empty})
+        evaluator = BatchEvaluator(prepared)
+        assert evaluator.evaluate_merged([empty]) == single
+        assert evaluator.evaluate_merged([]) == single
+
+    @pytest.mark.parametrize("method", ["nrc-codegen", "nrc", "nrc-interp", "direct"])
+    def test_every_method_agrees(self, method):
+        forest = _forest(NATURAL)
+        prepared = prepare_query("($S)//c", NATURAL, {"S": forest})
+        single = prepared.evaluate({"S": forest})
+        merged = BatchEvaluator(prepared).evaluate_merged(
+            _split(forest, 3), method=method
+        )
+        assert merged == single
+
+    @pytest.mark.parametrize("semiring", [BOOLEAN, NATURAL], ids=lambda s: s.name)
+    def test_constant_side_counts_once_per_document(self, semiring):
+        """A var-free union side is summed once per document: the merge
+        equals the single shot only when addition is idempotent."""
+        forest = _forest(semiring, num_trees=10)
+        constant = _forest(semiring, num_trees=3, seed=77)
+        env = {"S": forest, "T": constant}
+        prepared = prepare_query("( ($S)/*, ($T)/* )", semiring, env)
+        single = prepared.evaluate(env)
+        constant_part = prepare_query("($T)/*", semiring, env).evaluate(env)
+        evaluator = BatchEvaluator(prepared, var="S")
+        for parts in (1, 2, 4):
+            merged = evaluator.evaluate_merged(_split(forest, parts), env={"T": constant})
+            expected = single
+            for _ in range(parts - 1):
+                expected = expected.union(constant_part)
+            assert merged == expected
+            if semiring is BOOLEAN:
+                assert merged == single
 
 
 def test_batch_interpreter_methods_agree():
@@ -152,3 +260,12 @@ class TestProcessPool:
         with ProcessPoolExecutor(max_workers=1) as executor:
             with pytest.raises(ExecError, match="registry"):
                 BatchEvaluator(prepared).evaluate_many(documents, executor=executor)
+
+
+def test_documents_round_trip_through_pickle():
+    """KSet/UTree __reduce__: what process-pool batches ship to workers."""
+    import pickle
+
+    for semiring in (NATURAL, PROVENANCE):
+        for document in _documents(semiring, count=2):
+            assert pickle.loads(pickle.dumps(document)) == document

@@ -59,8 +59,8 @@ class TestClassification:
         assert plan.classification == LINEAR
 
     def test_constant_union_side_is_linear_for_any_semiring(self):
-        # Unlike sharding, the delta of a constant is simply {} — no
-        # idempotence needed, even over non-idempotent N.
+        # The delta of a constant is simply {} — no idempotence needed,
+        # even over non-idempotent N.
         plan = _plan("( ($S)/*, ($T)/* )", env={"S": DOC, "T": DOC})
         assert plan.classification == LINEAR
 

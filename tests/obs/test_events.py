@@ -89,6 +89,34 @@ class TestRingSemantics:
         assert len(retries) == 200
         assert len({event["seq"] for event in retries}) == 200
 
+    @pytest.mark.parametrize("keep", [0, 1, 2])
+    def test_shared_ring_bounds_filters_and_rotates_its_mirror(self, tmp_path, keep):
+        # The Ring class backs both the flight recorder and the query log.
+        from repro.obs import qlog
+
+        assert isinstance(qlog._RING, events.Ring)
+        ring = events.Ring(4)
+        ring.path = str(tmp_path / "ring.jsonl")
+        ring.max_bytes = 200
+        ring.keep = keep
+        for index in range(20):
+            ring.append({"kind": "k", "index": index})
+        assert [entry["index"] for entry in ring.recent()] == [16, 17, 18, 19]
+        assert [entry["seq"] for entry in ring.recent(limit=1)] == [20]
+        even = ring.recent(limit=1, where=lambda entry: entry["index"] % 2 == 0)
+        assert [entry["index"] for entry in even] == [18]
+        generations = [tmp_path / f"ring.jsonl.{n}" for n in (1, 2, 3)]
+        assert [path.exists() for path in generations] == [n <= keep for n in (1, 2, 3)]
+        for path in [tmp_path / "ring.jsonl", *generations]:
+            if path.exists():
+                for line in path.read_text().splitlines():
+                    json.loads(line)  # rotation never splits a record
+        ring.resize(2)
+        assert ring.capacity == 2
+        assert [entry["index"] for entry in ring.recent()] == [18, 19]
+        with pytest.raises(ValueError):
+            ring.resize(0)
+
     def test_export_jsonl_round_trips(self):
         events.emit("query.slow", duration_ms=12.5)
         text = events.export_jsonl(events.recent_events(kind="query.slow"))

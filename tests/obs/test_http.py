@@ -33,6 +33,26 @@ def server():
         yield live
 
 
+@pytest.fixture()
+def slow_call(monkeypatch):
+    """One evaluation over a 0 ms slow-query threshold; yields its query text."""
+    from repro.obs import qlog
+    from repro.semirings import NATURAL
+    from repro.uxquery import prepare_query
+    from repro.workloads import random_forest
+
+    monkeypatch.setenv(qlog.ENV_SLOW_MS, "0")
+    qlog.refresh_qlog_config()
+    qlog.clear_records()
+    forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=30)
+    prepared = prepare_query("($S)/a", NATURAL, {"S": forest})
+    prepared.evaluate({"S": forest})
+    yield str(prepared.surface)
+    monkeypatch.delenv(qlog.ENV_SLOW_MS)
+    qlog.refresh_qlog_config()
+    qlog.clear_records()
+
+
 class TestEndpoints:
     def test_metrics_serves_parseable_prometheus_text(self, server):
         server.app.registry.counter("http_test_total", "test").inc(3, kind="x")
@@ -67,19 +87,12 @@ class TestEndpoints:
         assert status == 200
         assert body == b"ok\n"
 
-    def test_debug_slow_reports_threshold_and_entries(self, server):
-        from repro.obs.profile import clear_slow_queries, record_slow_query
-
-        clear_slow_queries()
-        try:
-            record_slow_query({"surface": "($S)/*", "duration_ms": 99.0})
-            status, _, body = _get(server.url + "/debug/slow?limit=5")
-            assert status == 200
-            payload = json.loads(body)
-            assert "threshold_ms" in payload
-            assert payload["slow_queries"][-1]["surface"] == "($S)/*"
-        finally:
-            clear_slow_queries()
+    def test_debug_slow_reports_threshold_and_entries(self, server, slow_call):
+        status, _, body = _get(server.url + "/debug/slow?limit=5")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["threshold_ms"] == 0.0
+        assert payload["slow_queries"][-1]["q"] == slow_call
 
     def test_debug_events_serves_json_and_jsonl(self, server):
         events.clear_events()
@@ -98,19 +111,12 @@ class TestEndpoints:
         assert lines[-1]["kind"] == "limits.timeout"
         events.clear_events()
 
-    def test_debug_slow_serves_jsonl(self, server):
-        from repro.obs.profile import clear_slow_queries, record_slow_query
-
-        clear_slow_queries()
-        try:
-            record_slow_query({"surface": "($S)/a", "duration_ms": 55.0})
-            status, headers, body = _get(server.url + "/debug/slow?format=jsonl&limit=5")
-            assert status == 200
-            assert headers["Content-Type"].startswith("application/x-ndjson")
-            lines = [json.loads(line) for line in body.decode("utf-8").splitlines()]
-            assert lines[-1]["surface"] == "($S)/a"
-        finally:
-            clear_slow_queries()
+    def test_debug_slow_serves_jsonl(self, server, slow_call):
+        status, headers, body = _get(server.url + "/debug/slow?format=jsonl&limit=5")
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/x-ndjson")
+        lines = [json.loads(line) for line in body.decode("utf-8").splitlines()]
+        assert lines[-1]["q"] == slow_call
 
     def test_debug_queries_serves_signature_stats(self, server):
         from repro.obs import qlog
@@ -279,20 +285,19 @@ class TestServeAddress:
 
 class TestServerLifecycle:
     def test_start_refreshes_diagnostic_config(self, monkeypatch):
-        from repro.obs import profile, qlog
+        from repro.obs import qlog
 
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "123.5")
         monkeypatch.setenv("REPRO_EVENTS", "on")
         monkeypatch.setenv("REPRO_QLOG", "on")
         try:
             with start_telemetry_server(port=0):
-                assert profile.slow_query_ms() == 123.5
+                assert qlog.slow_query_ms() == 123.5
                 assert events.is_recording()
                 assert qlog.is_recording()
         finally:
             monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
             monkeypatch.delenv("REPRO_QLOG")
-            profile.refresh_slow_query_config()
             events.refresh_event_config()
             qlog.refresh_qlog_config()
 

@@ -250,9 +250,17 @@ class TestExemplars:
 
 class TestSlowQueryConcurrency:
     def test_concurrent_recorders_and_readers(self):
-        from repro.obs.profile import clear_slow_queries, record_slow_query, slow_queries
+        from types import SimpleNamespace
 
-        clear_slow_queries()
+        from repro.obs import qlog
+
+        plan = SimpleNamespace(
+            signature="sigconcurrent000", surface="($S)/*",
+            semiring=SimpleNamespace(name="natural-numbers"), env_types={},
+        )
+        previous = qlog.ring_capacity()
+        qlog.set_ring_capacity(256)
+        qlog.refresh_qlog_config({qlog.ENV_QLOG: "on", qlog.ENV_SLOW_MS: "0"})
         try:
             errors: list[BaseException] = []
             stop = threading.Event()
@@ -260,15 +268,15 @@ class TestSlowQueryConcurrency:
             def write(worker: int):
                 try:
                     for index in range(300):
-                        record_slow_query({"worker": worker, "index": index})
+                        qlog.record(plan, "evaluate", "nrc", 0.0, worker=worker, index=index)
                 except BaseException as error:  # pragma: no cover - failure path
                     errors.append(error)
 
             def read():
                 try:
                     while not stop.is_set():
-                        for entry in slow_queries():
-                            assert "timestamp" in entry
+                        for entry in qlog.slow_queries():
+                            assert "ts" in entry
                 except BaseException as error:  # pragma: no cover - failure path
                     errors.append(error)
 
@@ -282,12 +290,15 @@ class TestSlowQueryConcurrency:
             for thread in readers:
                 thread.join()
             assert not errors
-            # The buffer is bounded (maxlen=256) and holds the newest entries.
-            entries = slow_queries()
+            # The ring is bounded and holds the newest entries.
+            entries = qlog.slow_queries()
             assert len(entries) == 256
             assert entries[-1]["index"] == 299
         finally:
-            clear_slow_queries()
+            qlog.refresh_qlog_config({})
+            qlog.set_ring_capacity(previous)
+            qlog.clear_records()
+            qlog.clear_signature_stats()
 
 
 class TestDefaultRegistryIntegration:

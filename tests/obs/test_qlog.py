@@ -259,19 +259,6 @@ class TestOneRecordPerUserCall:
         assert records[0]["op"] == "exec.batch"
         assert records[0]["rows"] == len(results) == 3
 
-    def test_sharded_evaluator_owns_its_record(self):
-        from repro.exec import ShardedEvaluator
-
-        forest = random_forest(NATURAL, num_trees=4, depth=2, fanout=2, seed=8)
-        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
-        evaluator = ShardedEvaluator(prepared, num_shards=2)
-        with qlog.recording(True):
-            qlog.clear_records()
-            evaluator.evaluate(forest)
-            records = qlog.recent_records()
-        assert len(records) == 1
-        assert records[0]["op"] == "exec.shard"
-
     def test_ivm_apply_owns_its_record(self):
         from repro.ivm import Delta
         from repro.uxml import TreeBuilder
@@ -288,16 +275,280 @@ class TestOneRecordPerUserCall:
         assert len(records) == 1
         assert records[0]["op"] == "ivm.apply"
         assert records[0]["method"] in ("ivm-incremental", "ivm-recompute")
+        assert records[0]["classification"] == view.classification
 
-    def test_suppress_scope_drops_nested_records(self):
+    def test_nested_evaluate_under_an_armed_outer_site_writes_nothing(self):
+        forest = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=10)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
         with qlog.recording(True):
             qlog.clear_records()
-            with qlog.suppress():
-                assert qlog.suppressed()
-                assert qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001) is None
-            assert not qlog.suppressed()
-            assert qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001) is not None
-        assert len(qlog.recent_records()) == 1
+            with qlog.observe("store.query", prepared, doc="outer") as obs:
+                obs.done(prepared.evaluate({"S": forest}), method="nrc-codegen")
+            records = qlog.recent_records()
+        assert [(entry["op"], entry["doc"]) for entry in records] == [("store.query", "outer")]
+
+    def test_a_call_that_raises_writes_no_record(self, monkeypatch):
+        from repro.errors import BudgetExceededError
+        from repro.resilience import EvalLimits
+
+        forest = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=11)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        _arm_threshold(monkeypatch, "0")
+        slow_before = _slow_count()
+        with qlog.recording(True):
+            qlog.clear_records()
+            with pytest.raises(BudgetExceededError):
+                prepared.evaluate({"S": forest}, limits=EvalLimits(max_rows=1))
+            assert qlog.recent_records() == []
+        assert qlog.slow_queries() == []
+        assert _slow_count() == slow_before
+
+
+def _arm_threshold(monkeypatch, value: str) -> None:
+    """Arm the slow-query threshold the way an operator does: in the
+    environment, so the periodic re-read keeps it."""
+    monkeypatch.setenv(qlog.ENV_SLOW_MS, value)
+    qlog.refresh_qlog_config()
+
+
+def _slow_count() -> float:
+    from repro.obs.metrics import default_registry
+
+    return default_registry().counter("repro_slow_queries_total").value()
+
+
+def _debug_slow(query_string: str = "") -> tuple[str, bytes]:
+    """``GET /debug/slow`` through the WSGI app, no socket involved."""
+    from repro.obs.http import TelemetryApp
+    from repro.obs.metrics import MetricsRegistry
+
+    captured: dict = {}
+    body = b"".join(
+        TelemetryApp(MetricsRegistry())(
+            {
+                "REQUEST_METHOD": "GET",
+                "PATH_INFO": "/debug/slow",
+                "QUERY_STRING": query_string,
+            },
+            lambda status, headers: captured.update(status=status),
+        )
+    )
+    return captured["status"], body
+
+
+def _op_kind_call(kind: str, query: str):
+    """Set up one entry point over ``query``; returns the user call to make."""
+    from repro.ivm import Delta
+    from repro.store import DocumentStore
+    from repro.uxml import TreeBuilder
+
+    forests = [
+        random_forest(NATURAL, num_trees=3, depth=3, fanout=2, seed=seed)
+        for seed in (41, 42)
+    ]
+    if kind in ("store.query", "store.query_many"):
+        store = DocumentStore(NATURAL)
+        store.ingest("d0", forests[0])
+        store.ingest("d1", forests[1])
+        if kind == "store.query":
+            return lambda: store.query(query, "d0")
+        return lambda: store.query_many(query, ["d0", "d1"])
+    prepared = prepare_query(query, NATURAL, {"S": forests[0]})
+    if kind == "evaluate":
+        return lambda: prepared.evaluate({"S": forests[0]})
+    if kind == "exec.batch":
+        evaluator = BatchEvaluator(prepared, var="S")
+        return lambda: evaluator.evaluate_many(forests)
+    view = prepared.materialize(forests[0], document_var="S")
+    delta = Delta.insertion(NATURAL, TreeBuilder(NATURAL).tree("extra"), 1)
+    return lambda: view.apply(delta)
+
+
+#: (entry point, user query, the method that serves it, pushdown outcome)
+OP_KINDS = [
+    ("evaluate", "($S)/*", "nrc-codegen", None),
+    ("evaluate", "$S//c", "nrc", None),  # codegen declines on srt
+    ("exec.batch", "($S)/*", "nrc-codegen", None),
+    ("store.query", "$S//c", "index", "full-pushdown"),
+    ("store.query", "element out { $S/* }", "nrc-codegen", "pushdown"),
+    ("store.query", "element out { ($S/a, $S//b) }", "nrc", "fallback"),
+    ("store.query_many", "($S)/*", "nrc-codegen", None),
+    ("ivm.apply", "($S)/*", "ivm-incremental", None),
+]
+
+
+OP_KIND_IDS = [f"{kind}-{pushdown or method}" for kind, _q, method, pushdown in OP_KINDS]
+
+
+class TestEveryOpKindReachesTheSlowView:
+    """With the threshold at 0 every user call is slow: whichever entry
+    point served it, it yields one record, one ``/debug/slow`` entry, one
+    counter bump and one ``query.slow`` event — with the log itself off."""
+
+    @pytest.mark.parametrize("kind, query, method, pushdown", OP_KINDS, ids=OP_KIND_IDS)
+    def test_one_record_one_slow_entry(self, kind, query, method, pushdown, monkeypatch):
+        from repro.obs import events
+        from repro.uxquery.parser import parse_query
+
+        call = _op_kind_call(kind, query)
+        _arm_threshold(monkeypatch, "0")
+        assert not qlog.is_recording()
+        qlog.clear_records()
+        slow_before = _slow_count()
+        events_before = len(events.recent_events(kind="query.slow"))
+
+        call()
+
+        records = qlog.recent_records()
+        assert len(records) == 1
+        entry = records[0]
+        assert entry["op"] == kind
+        assert entry["q"] == str(parse_query(query))
+        assert "__nav" not in entry["q"]
+        assert entry["method"] == method
+        assert entry["codegen"] is (method == "nrc-codegen")
+        assert entry.get("pushdown") == pushdown
+        status, body = _debug_slow()
+        assert status == "200 OK"
+        payload = json.loads(body)
+        assert payload["threshold_ms"] == 0.0
+        assert [slow["seq"] for slow in payload["slow_queries"]] == [entry["seq"]]
+        assert _slow_count() == slow_before + 1
+        slow_events = events.recent_events(kind="query.slow")
+        assert len(slow_events) == events_before + 1
+        assert slow_events[-1]["attrs"]["op"] == kind
+        assert slow_events[-1]["attrs"]["method"] == method
+
+
+class TestSiteSpans:
+    """Tracing alone arms ``observe()``: the sites keep their span names and
+    attributes (what the store benchmark's traced pass folds), and nothing
+    is recorded."""
+
+    @pytest.mark.parametrize("kind, query, method, pushdown", OP_KINDS, ids=OP_KIND_IDS)
+    def test_span_names_and_attributes(self, kind, query, method, pushdown):
+        from repro.obs.trace import tracing
+
+        call = _op_kind_call(kind, query)
+        call()  # warm: plan-cache compiles would add prepare.* root spans
+        with tracing() as tracer:
+            call()
+        assert qlog.recent_records() == []
+        roots = [span for span in tracer.spans if span.parent_id is None]
+        if kind in ("exec.batch", "store.query_many"):
+            # Covered by the fan-out span; no site span of their own.
+            assert not any(span.name == kind for span in tracer.spans)
+            assert any(span.name == "exec.batch.fan_out" for span in tracer.spans)
+            return
+        assert [span.name for span in roots] == [kind]
+        site = roots[0]
+        nested = [span for span in tracer.spans if span.name == "evaluate" and span is not site]
+        if kind == "evaluate":
+            assert site.attrs == {"method": "nrc-codegen", "semiring": NATURAL.name}
+        elif kind == "store.query":
+            assert site.attrs == {"doc": "d0"}
+            # The residual or fallback plan runs as a nested evaluate span.
+            assert len(nested) == (0 if pushdown == "full-pushdown" else 1)
+        else:
+            assert site.attrs["maintenance"] == "incremental"
+            assert site.attrs["classification"] == "linear"
+
+
+class TestSlowQueries:
+    def test_disarmed_by_default(self):
+        qlog.refresh_qlog_config({})
+        assert qlog.slow_query_ms() is None
+        assert qlog.slow_queries() == []
+
+    def test_view_is_the_records_over_the_threshold(self):
+        qlog.refresh_qlog_config({qlog.ENV_SLOW_MS: "5"})
+        with qlog.recording(True):
+            qlog.record(_fake_prepared(), "evaluate", "nrc", 0.001)
+            slow = qlog.record(_fake_prepared(), "evaluate", "nrc", 0.010)
+        assert len(qlog.recent_records()) == 2
+        assert qlog.slow_queries() == [slow]
+        assert qlog.slow_queries(limit=0) == []
+
+    def test_debug_slow_limit_and_jsonl(self, monkeypatch):
+        forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=12)
+        prepared = prepare_query("($S)/a", NATURAL, {"S": forest})
+        _arm_threshold(monkeypatch, "0")
+        for _ in range(3):
+            prepared.evaluate({"S": forest})
+        _status, body = _debug_slow("limit=2")
+        assert len(json.loads(body)["slow_queries"]) == 2
+        _status, body = _debug_slow("format=jsonl&limit=5")
+        lines = [json.loads(line) for line in body.decode("utf-8").splitlines()]
+        assert len(lines) == 3
+        assert lines[-1]["q"] == str(prepared.surface)
+
+    def test_slow_query_counter_publishes_to_the_registry(self, monkeypatch):
+        forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=13)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        before = _slow_count()
+        _arm_threshold(monkeypatch, "0")
+        prepared.evaluate({"S": forest})
+        assert _slow_count() == before + 1
+
+    def test_fast_calls_stay_out_of_the_ring_while_the_log_is_off(self, monkeypatch):
+        forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=14)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        _arm_threshold(monkeypatch, "60000")
+        prepared.evaluate({"S": forest})
+        assert qlog.recent_records() == []
+
+    def test_bad_threshold_is_ignored(self):
+        qlog.refresh_qlog_config({qlog.ENV_SLOW_MS: "not-a-number"})
+        assert qlog.slow_query_ms() is None
+
+
+class TestThresholdStaleness:
+    """Regression: the env var must be honored even when set *after* import.
+
+    :func:`qlog.observe` re-checks ``REPRO_SLOW_QUERY_MS`` every
+    ``_REFRESH_EVERY`` calls — a long-lived process needs no restart (or an
+    explicit ``refresh_qlog_config()`` call) to arm the slow-query view.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_threshold(self, monkeypatch):
+        monkeypatch.delenv(qlog.ENV_SLOW_MS, raising=False)
+        monkeypatch.delenv(qlog.ENV_QLOG, raising=False)
+
+    def _cross_the_refresh_window(self):
+        for _ in range(qlog._REFRESH_EVERY + 1):
+            qlog.observe("evaluate", None)
+
+    def test_env_change_is_picked_up_within_the_refresh_window(self, monkeypatch):
+        assert qlog.slow_query_ms() is None
+        monkeypatch.setenv(qlog.ENV_SLOW_MS, "250")
+        self._cross_the_refresh_window()
+        assert qlog.slow_query_ms() == 250.0
+
+    def test_evaluate_path_arms_without_an_explicit_refresh(self, monkeypatch):
+        forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=15)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        monkeypatch.setenv(qlog.ENV_SLOW_MS, "0")
+        for _ in range(qlog._REFRESH_EVERY + 2):
+            prepared.evaluate({"S": forest})
+        assert qlog.slow_queries(), "the env var set after import must take effect"
+
+    def test_threshold_can_also_disarm_in_flight(self):
+        qlog.refresh_qlog_config({qlog.ENV_SLOW_MS: "100"})
+        assert qlog.slow_query_ms() == 100.0
+        self._cross_the_refresh_window()
+        assert qlog.slow_query_ms() is None
+
+    @pytest.mark.parametrize("armed", [True, False])
+    def test_the_re_read_never_touches_the_recording_switch(self, armed, monkeypatch):
+        # The environment says the opposite of the scoped switch; the
+        # periodic re-read must leave the switch alone.
+        monkeypatch.setenv(qlog.ENV_QLOG, "off" if armed else "on")
+        monkeypatch.setenv(qlog.ENV_SLOW_MS, "250")
+        with qlog.recording(armed):
+            self._cross_the_refresh_window()
+            assert qlog.is_recording() is armed
+        assert qlog.slow_query_ms() == 250.0
 
 
 class TestRingAndRotation:

@@ -105,16 +105,16 @@ class TestSampling:
     def test_tail_promotion_rescues_a_slow_sampled_out_trace(self, monkeypatch):
         import time
 
-        from repro.obs import profile
+        from repro.obs import qlog
 
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "5")
-        profile.refresh_slow_query_config()
+        qlog.refresh_qlog_config()
         try:
             with tracing(sample_rate=0.0) as tracer:
                 time.sleep(0.02)  # cross the 5ms threshold
         finally:
             monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
-            profile.refresh_slow_query_config()
+            qlog.refresh_qlog_config()
         assert tracer.sampled and tracer.promoted
         assert [s.name for s in tracer.spans] == ["trace.promoted-root"]
         root = tracer.spans[0]
@@ -124,25 +124,25 @@ class TestSampling:
         assert root.trace_id == tracer.trace_id
 
     def test_fast_sampled_out_trace_stays_dropped(self, monkeypatch):
-        from repro.obs import profile
+        from repro.obs import qlog
 
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "60000")
-        profile.refresh_slow_query_config()
+        qlog.refresh_qlog_config()
         try:
             with tracing(sample_rate=0.0) as tracer:
                 pass
         finally:
             monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
-            profile.refresh_slow_query_config()
+            qlog.refresh_qlog_config()
         assert not tracer.sampled and not tracer.promoted
         assert tracer.spans == []
 
     def test_no_promotion_when_threshold_disarmed(self):
         import time
 
-        from repro.obs import profile
+        from repro.obs import qlog
 
-        assert profile.slow_query_ms() is None  # default: disarmed
+        assert qlog.slow_query_ms() is None  # default: disarmed
         with tracing(sample_rate=0.0) as tracer:
             time.sleep(0.005)
         assert not tracer.sampled

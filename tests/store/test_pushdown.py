@@ -91,7 +91,7 @@ class TestExecutorExactness:
         for name, query in standard_query_suite().items():
             prepared = prepare_query(query, any_semiring, {"S": forest})
             expected = prepared.evaluate({"S": forest})
-            assert executor.execute(prepared, index, "S") == expected, name
+            assert executor.execute(prepared, index, "S")[0] == expected, name
         assert executor.fallbacks == 0
 
     def test_fallback_is_exact_and_counted(self, executor):
@@ -100,14 +100,15 @@ class TestExecutorExactness:
         query = "element out { ($S/a, $S//b) }"
         prepared = prepare_query(query, NATURAL, {"S": forest})
         expected = prepared.evaluate({"S": forest})
-        assert executor.execute(prepared, index, "S") == expected
+        assert executor.execute(prepared, index, "S") == (expected, "fallback", prepared)
         assert executor.fallbacks == 1 and executor.pushdowns == 0
 
     def test_full_pushdown_counted(self, executor):
         forest = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=10)
         index = StructuralIndex(ShreddedColumns.from_forest(forest))
         prepared = prepare_query("$S//c", NATURAL, {"S": forest})
-        assert executor.execute(prepared, index, "S") == prepared.evaluate({"S": forest})
+        expected = prepared.evaluate({"S": forest})
+        assert executor.execute(prepared, index, "S") == (expected, "full-pushdown", None)
         assert executor.pushdowns == 1 and executor.full_pushdowns == 1
 
     def test_extra_environment_bindings(self, executor):
@@ -117,7 +118,7 @@ class TestExecutorExactness:
         query = "element out { ($S//c, $R/*) }"
         prepared = prepare_query(query, NATURAL, {"S": forest, "R": other})
         expected = prepared.evaluate({"S": forest, "R": other})
-        assert executor.execute(prepared, index, "S", {"R": other}) == expected
+        assert executor.execute(prepared, index, "S", {"R": other})[0] == expected
 
     def test_reserved_env_binding_rejected(self, executor):
         forest = random_forest(NATURAL, num_trees=1, depth=2, fanout=1, seed=0)
@@ -138,12 +139,12 @@ class TestExecutorExactness:
         fig1 = figure1_source()
         index1 = StructuralIndex(ShreddedColumns.from_forest(fig1))
         prepared1 = prepare_query(figure1_query(), PROVENANCE, {"S": fig1})
-        assert executor.execute(prepared1, index1, "S") == prepared1.evaluate({"S": fig1})
+        assert executor.execute(prepared1, index1, "S")[0] == prepared1.evaluate({"S": fig1})
 
         fig4 = figure4_source()
         index4 = StructuralIndex(ShreddedColumns.from_forest(fig4))
         prepared4 = prepare_query(figure4_query(), PROVENANCE, {"T": fig4})
-        assert executor.execute(prepared4, index4, "T") == prepared4.evaluate({"T": fig4})
+        assert executor.execute(prepared4, index4, "T")[0] == prepared4.evaluate({"T": fig4})
         assert executor.fallbacks == 0
 
     def test_split_analysis_is_memoized(self, executor):

@@ -299,7 +299,7 @@ class TestCliQueryLog:
         # Regression: long-runners must re-read the observability env vars
         # (the way `metrics --serve` always did) before entering their loop.
         from repro import cli
-        from repro.obs import events, profile, qlog
+        from repro.obs import events, qlog
 
         called: dict = {}
         monkeypatch.setattr(
@@ -314,12 +314,11 @@ class TestCliQueryLog:
         try:
             assert cli.main(["events", "--follow", "--log", str(log)]) == 0
             assert called["args"] == (str(log), None)
-            assert profile.slow_query_ms() == 77.5
+            assert qlog.slow_query_ms() == 77.5
             assert qlog.is_recording()
         finally:
             monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
             monkeypatch.delenv("REPRO_QLOG")
-            profile.refresh_slow_query_config()
             events.refresh_event_config()
             qlog.refresh_qlog_config()
 
