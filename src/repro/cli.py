@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_ingest.add_argument("--annot-attr", default="annot", help="attribute carrying annotations (default: annot)")
     store_ingest.add_argument("--replace", action="store_true", help="overwrite an existing document id")
     store_ingest.add_argument(
-        "--durability", choices=("none", "fsync"), default=None,
+        "--durability", choices=("none", "fsync"), default="none",
         help="WAL fsync policy: 'none' (default) flushes each append to the "
         "OS — fast, survives process crashes but not power loss; 'fsync' "
         "adds a disk sync per append — every acknowledged operation "
@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_update.add_argument("--annot-attr", default="annot", help="attribute carrying annotations (default: annot)")
     store_update.add_argument("--stats", action="store_true", help="print store statistics after the run")
     store_update.add_argument(
-        "--durability", choices=("none", "fsync"), default=None,
+        "--durability", choices=("none", "fsync"), default="none",
         help="WAL fsync policy: 'none' (default) flushes each append to the "
         "OS — fast, survives process crashes but not power loss; 'fsync' "
         "adds a disk sync per append — every acknowledged operation "
@@ -1326,7 +1326,7 @@ def _open_store(
     directory: str,
     semiring_name: str | None = None,
     create: bool = False,
-    durability: str | None = None,
+    durability: str = "none",
 ):
     """Open an existing store directory, or (``create=True``) make a new one.
 
@@ -1408,7 +1408,7 @@ def _command_store(args: argparse.Namespace) -> int:
             f"{len(stored.index.label_to_nids)} distinct labels"
         )
         return 0
-    store = _open_store(args.dir, durability=getattr(args, "durability", None))
+    store = _open_store(args.dir, durability=getattr(args, "durability", "none"))
     if command == "query":
         answer = store.query(_read_query(args.query), args.doc, var=args.var)
         print(_render(answer, args.format))

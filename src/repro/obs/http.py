@@ -324,9 +324,10 @@ def store_integrity_check(store: Any) -> Callable[[], tuple[bool, str]]:
     """Ready while the store's durable artifacts verify end-to-end.
 
     Runs the light (file-level, side-effect-free) scrub of
-    :func:`repro.store.fsck.verify_artifacts` on each probe: the snapshot
-    envelope checksum plus every WAL record's CRC.  Goes unready — naming
-    the damaged artifact — as soon as on-disk corruption appears, so an
+    :func:`repro.store.fsck.verify_artifacts` on each probe: ``meta.json``,
+    the snapshot envelope and every WAL record, read by the same readers
+    the store opens with.  Goes unready — naming the damaged artifact — as
+    soon as on-disk damage appears that would stop a reopen, so an
     orchestrator stops routing to a replica that would refuse (or worse,
     be unable) to recover.  In-memory stores are trivially ready.
     """
@@ -342,7 +343,7 @@ def store_integrity_check(store: Any) -> Callable[[], tuple[bool, str]]:
         if errors:
             return False, "; ".join(f"{f.artifact}: {f.detail}" for f in errors)
         warnings = [f for f in findings if f.severity == "warning"]
-        detail = "wal + snapshot checksums verified"
+        detail = "meta, snapshot and wal verified"
         if warnings:
             detail += f" ({len(warnings)} warning(s))"
         return True, detail

@@ -5,8 +5,8 @@ their Section 7 shredded form, queries run through compiled plans with the
 navigation prefix pushed down to structural indexes, updates flow through
 :mod:`repro.ivm` deltas, and everything is journaled for crash recovery.
 
-Five cooperating pieces
------------------------
+Six cooperating pieces
+----------------------
 * :mod:`repro.store.columns` — :class:`ShreddedColumns`, one document as the
   four parallel arrays ``pid``/``nid``/``label``/annotation in deterministic
   shredding order, plus the pickle codec used by the durable formats.
@@ -22,10 +22,17 @@ Five cooperating pieces
   append-only JSONL write-ahead log of store operations (deltas as the
   update records) plus atomic snapshots of the shredded columns; recovery is
   snapshot + replay through the same delta machinery, exact for every
-  registry semiring.
+  registry semiring.  Each module holds the only reader of its file
+  (:func:`~repro.store.wal.scan_wal`,
+  :func:`~repro.store.snapshot.read_snapshot`).
 * :mod:`repro.store.store` — :class:`DocumentStore`: the facade wiring it
   together (ingest / update / query / query_many / register_view / compact),
-  with a per-store plan cache and ``cache-stats``-style counters.
+  with a per-store plan cache and ``cache-stats``-style counters.  It names
+  the durable files of a store directory and reads ``meta.json``
+  (:func:`~repro.store.store.read_meta`).
+* :mod:`repro.store.fsck` — ``repro fsck`` and the ``/readyz`` probe
+  (:func:`verify_artifacts`): report what those three readers find, and with
+  ``repair=True`` salvage the longest valid prefix and quarantine the rest.
 
 Quick start::
 
@@ -39,7 +46,7 @@ Quick start::
     store.compact()                                        # snapshot + truncate
 
 The CLI exposes the same surface as ``python -m repro store
-ingest|query|update|compact|stats``.
+ingest|query|update|compact|stats``, plus ``python -m repro fsck``.
 """
 
 from repro.errors import IntegrityError, StoreError

@@ -4,7 +4,15 @@ The store's load paths already *refuse* to serve damaged data (checksummed
 WAL records, checksummed snapshots — see :mod:`repro.store.integrity`);
 this module is the operator's next move: scan every durable artifact,
 report exactly what is damaged, and — with ``repair=True`` — bring the
-directory back to the **maximal salvageable prefix** of its history:
+directory back to the **maximal salvageable prefix** of its history.
+
+fsck parses no file itself.  Each durable file has one reader, in the
+module that writes it — :func:`repro.store.store.read_meta`,
+:func:`repro.store.snapshot.read_snapshot` and
+:func:`repro.store.wal.scan_wal` — and the store's open path, this scrub
+and the ``/readyz`` probe (:func:`verify_artifacts`) all go through them,
+so the three cannot disagree about what is damaged.  Repair then acts on
+what the readers found:
 
 * a corrupt snapshot is *quarantined* (moved into a ``.quarantine``
   sidecar, never deleted) so recovery falls back to pure WAL replay;
@@ -37,18 +45,24 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 from repro.obs.events import emit
 from repro.store.columns import ShreddedColumns
-from repro.store.integrity import FSCK_RUNS, column_digest, crc32_text, record_crc
+from repro.store.integrity import FSCK_RUNS
+from repro.store.snapshot import SNAPSHOT_FORMAT, SnapshotRead, read_snapshot
+from repro.store.store import (
+    META_FILE,
+    SNAPSHOT_FILE,
+    WAL_FILE,
+    DocumentStore,
+    read_meta,
+)
+from repro.store.wal import WalScan, scan_wal
 
-__all__ = ["Finding", "FsckReport", "fsck_store", "scan_wal", "verify_artifacts"]
+__all__ = ["Finding", "FsckReport", "fsck_store", "verify_artifacts"]
 
-_META_FILE = "meta.json"
-_WAL_FILE = "wal.jsonl"
-_SNAPSHOT_FILE = "snapshot.json"
 QUARANTINE_SUFFIX = ".quarantine"
 
 
@@ -64,234 +78,78 @@ class Finding(NamedTuple):
         return f"[{self.severity}] {self.artifact}: {self.detail}"
 
 
-class _WalRecord(NamedTuple):
-    lsn: int
-    record: dict
-    line: int
-    start: int  # byte offset of the line in the file
-    end: int    # byte offset just past its newline
+class _Artifacts(NamedTuple):
+    """What the readers found in a store directory, as fsck findings."""
 
-
-class WalScan(NamedTuple):
-    """Record-level scan of a WAL file (no store semantics applied)."""
-
-    records: List[_WalRecord]  # the longest record-valid prefix
-    valid_bytes: int           # byte length of that prefix
-    total_bytes: int
-    torn_bytes: int            # newline-less tail length (crash residue)
-    v0_records: int            # records predating the checksum format
+    semiring_name: Optional[str]   # None when meta.json is missing or damaged
+    snapshot: Optional[SnapshotRead]
+    wal: WalScan
     findings: List[Finding]
-    suffix_lsns: List[int]     # lsns parsed best-effort out of the bad suffix
 
 
-def scan_wal(path: Path) -> WalScan:
-    """Scan a WAL file without refusing at the first bad record.
-
-    Unlike :class:`~repro.store.wal.WriteAheadLog` (which raises a typed
-    :class:`IntegrityError` so a *store* never opens over damage), the
-    scrubber wants the full picture: the longest valid prefix, what exactly
-    invalidated the first bad line, and which lsns sit in the unusable
-    suffix.
-    """
-    data = path.read_bytes() if path.exists() else b""
+def _read_artifacts(directory: Path) -> _Artifacts:
+    """Run every durable file's reader and turn what it found into findings."""
     findings: List[Finding] = []
-    records: List[_WalRecord] = []
-    v0_records = 0
-    position = 0
-    number = 0
-    previous_lsn = 0
-    bad_at: Optional[int] = None
-    torn_bytes = 0
-    while position < len(data):
-        newline = data.find(b"\n", position)
-        if newline == -1:
-            torn_bytes = len(data) - position
+    semiring_name, problem = read_meta(directory)
+    if problem is not None:
+        findings.append(Finding("error", str(directory / META_FILE), problem))
+
+    snapshot_path = directory / SNAPSHOT_FILE
+    snapshot = read_snapshot(snapshot_path)
+    if snapshot is not None:
+        for each in snapshot.problems:
+            findings.append(Finding("error", str(snapshot_path), each.detail))
+        if snapshot.format == 1:
             findings.append(
                 Finding(
                     "warning",
-                    str(path),
-                    f"torn tail: {torn_bytes} byte(s) with no terminating "
-                    "newline (crash residue; the interrupted append was never "
-                    "acknowledged)",
-                )
-            )
-            break
-        line = data[position:newline]
-        number += 1
-        if line.strip():
-            problem: Optional[str] = None
-            lsn: Optional[int] = None
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError(f"record is not a JSON object: {record!r}")
-                lsn = int(record["lsn"])
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
-                problem = f"unparseable record: {error}"
-                record = None
-            if problem is None:
-                if "crc" in record:
-                    expected = record_crc(record)
-                    if record["crc"] != expected:
-                        problem = (
-                            f"CRC32 mismatch for lsn {lsn} (stored "
-                            f"{record['crc']!r}, computed {expected})"
-                        )
-                else:
-                    v0_records += 1
-                if problem is None and lsn <= previous_lsn:
-                    problem = (
-                        f"lsn {lsn} not greater than preceding lsn "
-                        f"{previous_lsn} (spliced or reordered lines)"
-                    )
-            if problem is not None:
-                findings.append(
-                    Finding("error", str(path), f"line {number}: {problem}")
-                )
-                bad_at = position
-                break
-            previous_lsn = lsn
-            clean = dict(record)
-            clean.pop("crc", None)
-            clean.pop("v", None)
-            records.append(_WalRecord(lsn, clean, number, position, newline + 1))
-        position = newline + 1
-    valid_bytes = bad_at if bad_at is not None else position
-    suffix_lsns: List[int] = []
-    if bad_at is not None:
-        # Best-effort: which acknowledged lsns sit in the unusable suffix?
-        for line in data[bad_at:].split(b"\n"):
-            try:
-                candidate = json.loads(line.decode("utf-8"))
-                suffix_lsns.append(int(candidate["lsn"]))
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                continue
-    if v0_records:
-        findings.append(
-            Finding(
-                "warning",
-                str(path),
-                f"{v0_records} pre-checksum (v0) record(s) — replayable, but "
-                "unprotected against bit rot; compacting rewrites history "
-                "into checksummed form",
-            )
-        )
-    return WalScan(
-        records=records,
-        valid_bytes=valid_bytes,
-        total_bytes=len(data),
-        torn_bytes=torn_bytes,
-        v0_records=v0_records,
-        findings=findings,
-        suffix_lsns=suffix_lsns,
-    )
-
-
-def _snapshot_findings(path: Path) -> Tuple[Optional[dict], List[Finding]]:
-    """Checksum-verify a snapshot file; on damage, localize with digests.
-
-    Returns ``(payload, findings)`` where ``payload`` is the *parsed body*
-    (not resolved to columns) when the bytes are readable, else ``None``.
-    Verification failures are error findings; a localized digest mismatch
-    names the exact document and column.
-    """
-    from repro.store.snapshot import SNAPSHOT_FORMAT
-
-    findings: List[Finding] = []
-    if not path.exists():
-        return None, findings
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        findings.append(Finding("error", str(path), f"unreadable: {error}"))
-        return None, findings
-    head, newline, body = text.partition("\n")
-    header: Optional[dict] = None
-    if newline:
-        try:
-            candidate = json.loads(head)
-        except ValueError:
-            candidate = None
-        if isinstance(candidate, dict) and "checksum" in candidate:
-            header = candidate
-    if header is None:
-        # Format-1 single-JSON snapshot, or damage that destroyed the header.
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            findings.append(
-                Finding("error", str(path), f"unparseable snapshot: {error}")
-            )
-            return None, findings
-        if isinstance(payload, dict) and payload.get("format") == 1:
-            findings.append(
-                Finding(
-                    "warning",
-                    str(path),
+                    str(snapshot_path),
                     "format-1 (pre-checksum) snapshot — loads, but carries no "
                     "integrity metadata; compacting rewrites it as format "
                     f"{SNAPSHOT_FORMAT}",
                 )
             )
-            return payload, findings
+
+    wal_path = directory / WAL_FILE
+    wal = scan_wal(wal_path)
+    if wal.problem is not None:
         findings.append(
-            Finding("error", str(path), "not a recognizable snapshot envelope")
+            Finding("error", str(wal_path), f"line {wal.problem.line}: {wal.problem.detail}")
         )
-        return payload if isinstance(payload, dict) else None, findings
-    computed = crc32_text(body)
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        payload = None
-    if computed != header.get("checksum"):
+    if wal.torn_bytes:
         findings.append(
             Finding(
-                "error",
-                str(path),
-                f"whole-file CRC32 mismatch (stored {header.get('checksum')!r}, "
-                f"computed {computed})",
+                "warning",
+                str(wal_path),
+                f"torn tail: {wal.torn_bytes} byte(s) with no terminating "
+                "newline (crash residue; the interrupted append was never "
+                "acknowledged)",
             )
         )
-        # Localize: per-column digests name the damaged document/column
-        # (possible only while the body still parses).
-        if isinstance(payload, dict):
-            digests = payload.get("column_digests", {})
-            for doc_id, columns in sorted(payload.get("documents", {}).items()):
-                for column, values in sorted(columns.items()):
-                    stored = digests.get(doc_id, {}).get(column)
-                    if stored is not None and column_digest(values) != stored:
-                        findings.append(
-                            Finding(
-                                "error",
-                                str(path),
-                                f"column digest mismatch: document {doc_id!r} "
-                                f"column {column!r}",
-                            )
-                        )
-        return payload if isinstance(payload, dict) else None, findings
-    if not isinstance(payload, dict):
+    if wal.v0_records:
         findings.append(
-            Finding("error", str(path), "snapshot body is not a JSON object")
+            Finding(
+                "warning",
+                str(wal_path),
+                f"{wal.v0_records} pre-checksum (v0) record(s) — replayable, but "
+                "unprotected against bit rot; compacting rewrites history "
+                "into checksummed form",
+            )
         )
-        return None, findings
-    return payload, findings
+    return _Artifacts(semiring_name, snapshot, wal, findings)
 
 
 def verify_artifacts(directory: Path | str) -> List[Finding]:
     """Light, side-effect-free artifact verification (the ``/readyz`` probe).
 
-    Checksum-verifies the snapshot envelope and scans every WAL record;
-    returns the findings without raising, quarantining, or bumping the
-    mismatch counters — probes must be repeatable."""
+    Reads ``meta.json``, the snapshot envelope and every WAL record through
+    the same readers the store opens with; returns the findings without
+    raising, quarantining, or bumping the mismatch counters — probes must
+    be repeatable."""
     directory = Path(directory)
-    findings: List[Finding] = []
     if not directory.is_dir():
-        findings.append(Finding("error", str(directory), "no store directory"))
-        return findings
-    _, snapshot_findings = _snapshot_findings(directory / _SNAPSHOT_FILE)
-    findings.extend(snapshot_findings)
-    findings.extend(scan_wal(directory / _WAL_FILE).findings)
-    return findings
+        return [Finding("error", str(directory), "no store directory")]
+    return _read_artifacts(directory).findings
 
 
 class FsckReport:
@@ -412,40 +270,20 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
         FSCK_RUNS.inc(outcome="corrupt")
         return report
 
-    # -- 1: metadata -------------------------------------------------------
-    meta_path = directory / _META_FILE
-    semiring_name: Optional[str] = None
-    if not meta_path.exists():
-        report.add("error", meta_path, "missing store metadata")
-    else:
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            semiring_name = meta["semiring"]
-            from repro.semirings.registry import get_semiring
+    # -- 1-3: every durable file through its reader ------------------------
+    artifacts = _read_artifacts(directory)
+    report.findings.extend(artifacts.findings)
+    semiring_name = artifacts.semiring_name
 
-            get_semiring(semiring_name)
-        except (OSError, ValueError, TypeError) as error:
-            report.add("error", meta_path, f"corrupt store metadata: {error}")
-        except KeyError as error:
-            report.add(
-                "error", meta_path, f"metadata names no registry semiring: {error}"
-            )
-            semiring_name = None
-
-    # -- 2: snapshot -------------------------------------------------------
-    snapshot_path = directory / _SNAPSHOT_FILE
-    snapshot_payload, snapshot_findings = _snapshot_findings(snapshot_path)
-    report.findings.extend(snapshot_findings)
-    snapshot_bad = any(f.severity == "error" for f in snapshot_findings)
-    if snapshot_bad and repair:
+    snapshot_path = directory / SNAPSHOT_FILE
+    snapshot = artifacts.snapshot
+    if snapshot is not None and snapshot.problems and repair:
         blob = snapshot_path.read_bytes()
         _quarantine_bytes(
             snapshot_path.with_name(snapshot_path.name + QUARANTINE_SUFFIX),
             blob,
             source=snapshot_path.name,
-            reason="; ".join(
-                f.detail for f in snapshot_findings if f.severity == "error"
-            ),
+            reason="; ".join(problem.detail for problem in snapshot.problems),
         )
         snapshot_path.unlink()
         report.repairs.append(
@@ -453,21 +291,15 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
             "falls back to WAL replay"
         )
         repaired_artifacts.add(str(snapshot_path))
-        snapshot_payload = None
-        snapshot_bad = False
-    snapshot_usable = snapshot_payload is not None and not snapshot_bad
-    snapshot_lsn = (
-        int(snapshot_payload.get("wal_lsn", 0)) if snapshot_usable else 0
-    )
-    snapshot_docs = (
-        set(snapshot_payload.get("documents", {})) if snapshot_usable else set()
-    )
+        snapshot = None
+    snapshot_usable = snapshot is not None and not snapshot.problems
+    snapshot_lsn = int(snapshot.payload.get("wal_lsn", 0)) if snapshot_usable else 0
+    snapshot_docs = set(snapshot.payload.get("documents", {})) if snapshot_usable else set()
     report.checked["snapshot_documents"] = len(snapshot_docs)
 
-    # -- 3 + 4: WAL records and replayability ------------------------------
-    wal_path = directory / _WAL_FILE
-    scan = scan_wal(wal_path)
-    report.findings.extend(scan.findings)
+    # -- 4: replayability --------------------------------------------------
+    wal_path = directory / WAL_FILE
+    scan = artifacts.wal
     report.checked["wal_records"] = len(scan.records)
     cut_bytes = scan.valid_bytes
     cut_records = len(scan.records)
@@ -581,8 +413,6 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
         )
         can_open = False
     if can_open:
-        from repro.store.store import DocumentStore
-
         try:
             store = DocumentStore.open(directory)
         except ReproError as error:
@@ -594,7 +424,7 @@ def fsck_store(directory: Path | str, *, repair: bool = False, deep: bool = Fals
                 if ShreddedColumns.from_forest(columns.forest()) != columns:
                     report.add(
                         "error",
-                        directory / _SNAPSHOT_FILE,
+                        directory / SNAPSHOT_FILE,
                         f"document {doc_id!r}: columns are not the canonical "
                         "shred of their own forest (index/column drift)",
                     )

@@ -15,13 +15,17 @@ every intermediate point.
 Format 2 adds end-to-end integrity: the file is a two-line envelope whose
 first line is a small header carrying a CRC32 of the body line's exact
 bytes, and the body embeds per-column SHA-256 content digests (exact
-because shredding is deterministic and document-stable).  Every load
-verifies the whole-file checksum — which transitively authenticates the
-column digests and every column byte — and raises a typed
-:class:`~repro.errors.IntegrityError` naming the file on mismatch; the
-per-column digests let ``repro fsck`` localize damage to a specific
-document and column.  Format-1 (pre-checksum) snapshots still load and are
-flagged so fsck can report the downgrade.
+because shredding is deterministic and document-stable).
+:func:`read_snapshot` is the only parser of the envelope.  It has no side
+effects and returns the parsed body with every problem it found: a
+whole-file checksum mismatch (which transitively authenticates the column
+digests and every column byte), then — only after a mismatch — the
+per-column digests that localize the damage to a document and column; a
+format-2 body without its header; an unsupported ``format``.
+:func:`load_snapshot` raises the first problem — a typed
+:class:`~repro.errors.IntegrityError` naming the file for damage — and
+``repro fsck`` and the ``/readyz`` probe report them all.  Format-1
+(pre-checksum) snapshots still load, flagged unverified.
 
 The annotation *semiring* is stored by registry name — durability is a
 registry-semirings feature; exotic user semirings can still use the store
@@ -34,7 +38,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import StoreError
 from repro.obs.trace import span
@@ -42,12 +46,20 @@ from repro.resilience.faults import fail_point
 from repro.semirings.base import Semiring
 from repro.semirings.registry import available_semirings, get_semiring
 from repro.store.columns import ShreddedColumns
-from repro.store.integrity import column_digests, crc32_text, integrity_error
+from repro.store.integrity import (
+    column_digest,
+    column_digests,
+    crc32_text,
+    integrity_error,
+)
 
 __all__ = [
     "SNAPSHOT_FORMAT",
+    "SnapshotProblem",
+    "SnapshotRead",
     "semiring_registry_name",
     "write_snapshot",
+    "read_snapshot",
     "load_snapshot",
 ]
 
@@ -159,34 +171,39 @@ def _write_snapshot(
     fail_point("corrupt.snapshot.file", path=str(path))
 
 
-def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
-    """Load a snapshot file into ``{semiring, wal_lsn, documents, views}``.
+class SnapshotProblem(NamedTuple):
+    """One thing wrong with a snapshot file."""
 
-    Returns ``None`` when no snapshot exists.  ``documents`` maps document
-    ids to :class:`ShreddedColumns`; the semiring is resolved through the
-    registry.
+    detail: str
+    #: Damage (raised as :class:`~repro.errors.IntegrityError`) rather than
+    #: content this code cannot load (:class:`~repro.errors.StoreError`).
+    damage: bool = True
+    cause: Optional[Exception] = None
 
-    Format-2 envelopes are checksum-verified (whole-file CRC32, which
-    transitively authenticates the per-column digests and every column
-    byte); a mismatch raises :class:`~repro.errors.IntegrityError` naming
-    the file.  ``verify=False`` skips the checksum — the fsck scrubber uses
-    it to localize damage with the per-column digests, and benchmarks use
-    it as the unverified baseline.  Format-1 (pre-checksum) snapshots load
-    with ``verified: False`` in the result.
+
+class SnapshotRead(NamedTuple):
+    """Everything :func:`read_snapshot` found in one snapshot file."""
+
+    payload: Optional[dict]  # the parsed body; columns still encoded
+    format: Optional[int]
+    verified: bool           # the whole-file checksum was checked and matched
+    problems: List[SnapshotProblem]
+
+
+def read_snapshot(path: Path, *, verify: bool = True) -> Optional[SnapshotRead]:
+    """Parse a snapshot file's envelope, with no side effects.
+
+    Returns ``None`` when no snapshot exists.  ``verify=False`` skips the
+    whole-file checksum, so nothing is verified.
     """
-    path = Path(path)
     if not path.exists():
         return None
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise StoreError(f"cannot read snapshot {path}: {error}") from error
     except UnicodeDecodeError as error:
-        raise integrity_error(
-            f"snapshot {path}: undecodable bytes: {error}",
-            artifact=str(path),
-            kind="snapshot",
-        ) from error
+        return _failed(SnapshotProblem(f"undecodable bytes: {error}", cause=error))
+    except OSError as error:
+        return _failed(SnapshotProblem(f"unreadable: {error}", damage=False, cause=error))
     head, newline, body = text.partition("\n")
     header = None
     if newline:
@@ -196,43 +213,91 @@ def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
             candidate = None
         if isinstance(candidate, dict) and "checksum" in candidate:
             header = candidate
-    verified = False
-    if header is not None:
-        if verify:
-            computed = crc32_text(body)
-            if computed != header.get("checksum"):
-                raise integrity_error(
-                    f"snapshot {path}: whole-file CRC32 mismatch (stored "
-                    f"{header.get('checksum')!r}, computed {computed})",
-                    artifact=str(path),
-                    kind="snapshot",
-                )
-            verified = True
-        try:
-            payload = json.loads(body)
-        except ValueError as error:
-            raise integrity_error(
-                f"snapshot {path}: corrupt body: {error}",
-                artifact=str(path),
-                kind="snapshot",
-            ) from error
-    else:
+    if header is None:
         # Either a format-1 (pre-checksum) single-JSON snapshot or damage
         # severe enough to destroy the envelope header.
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise integrity_error(
-                f"cannot read snapshot {path}: {error}",
-                artifact=str(path),
-                kind="snapshot",
-            ) from error
-    snapshot_format = payload.get("format") if isinstance(payload, dict) else None
+        body = text
+    unparsed: Optional[ValueError] = None
+    try:
+        payload = json.loads(body)
+    except ValueError as error:
+        payload, unparsed = None, error
+    verified = False
+    if header is not None and verify:
+        computed = crc32_text(body)
+        if computed != header.get("checksum"):
+            mismatch = SnapshotProblem(
+                f"whole-file CRC32 mismatch (stored {header.get('checksum')!r}, "
+                f"computed {computed})"
+            )
+            localized = _localize(payload) if isinstance(payload, dict) else []
+            return SnapshotRead(None, None, False, [mismatch] + localized)
+        verified = True
+    if unparsed is not None:
+        detail = "corrupt body" if header is not None else "unparseable"
+        return _failed(SnapshotProblem(f"{detail}: {unparsed}", cause=unparsed))
+    if not isinstance(payload, dict):
+        return _failed(SnapshotProblem(f"unsupported format {payload!r}", damage=False))
+    snapshot_format = payload.get("format")
+    problems = []
     if snapshot_format not in (1, SNAPSHOT_FORMAT):
-        format_found = snapshot_format if isinstance(payload, dict) else payload
-        raise StoreError(
-            f"snapshot {path} has unsupported format {format_found!r}"
+        problems.append(
+            SnapshotProblem(f"unsupported format {snapshot_format!r}", damage=False)
         )
+    elif header is None and snapshot_format == SNAPSHOT_FORMAT:
+        problems.append(
+            SnapshotProblem(f"format-{SNAPSHOT_FORMAT} body without its checksum header")
+        )
+    return SnapshotRead(payload, snapshot_format, verified, problems)
+
+
+def _failed(problem: SnapshotProblem) -> SnapshotRead:
+    return SnapshotRead(None, None, False, [problem])
+
+
+def _localize(payload: dict) -> List[SnapshotProblem]:
+    """Name each document column whose content digest no longer matches."""
+    digests = payload.get("column_digests", {})
+    problems = []
+    for doc_id, columns in sorted(payload.get("documents", {}).items()):
+        for column, values in sorted(columns.items()):
+            stored = digests.get(doc_id, {}).get(column)
+            if stored is not None and column_digest(values) != stored:
+                problems.append(
+                    SnapshotProblem(
+                        f"column digest mismatch: document {doc_id!r} column {column!r}"
+                    )
+                )
+    return problems
+
+
+def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
+    """Load a snapshot file into ``{semiring, wal_lsn, documents, views}``.
+
+    Returns ``None`` when no snapshot exists.  ``documents`` maps document
+    ids to :class:`ShreddedColumns`; the semiring is resolved through the
+    registry.
+
+    Raises the first problem :func:`read_snapshot` finds: damage as an
+    :class:`~repro.errors.IntegrityError` naming the file, an unsupported
+    format as a :class:`~repro.errors.StoreError`.  ``verify=False`` skips
+    the whole-file checksum; benchmarks use it as the unverified baseline.
+    Format-1 (pre-checksum) snapshots load with ``verified: False`` in the
+    result.
+    """
+    path = Path(path)
+    read = read_snapshot(path, verify=verify)
+    if read is None:
+        return None
+    if read.problems:
+        problem = read.problems[0]
+        message = f"snapshot {path}: {problem.detail}"
+        if problem.damage:
+            raise integrity_error(
+                message, artifact=str(path), kind="snapshot"
+            ) from problem.cause
+        raise StoreError(message) from problem.cause
+    payload = read.payload
     try:
         semiring = get_semiring(payload["semiring"])
     except KeyError:
@@ -247,7 +312,7 @@ def load_snapshot(path: Path | str, *, verify: bool = True) -> Optional[dict]:
         "wal_lsn": int(payload.get("wal_lsn", 0)),
         "documents": documents,
         "views": list(payload.get("views", [])),
-        "format": snapshot_format,
-        "verified": verified,
+        "format": read.format,
+        "verified": read.verified,
         "column_digests": dict(payload.get("column_digests", {})),
     }

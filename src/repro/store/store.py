@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from repro.errors import StoreError
+from repro.errors import SemiringError, StoreError
 from repro.exec.plan_cache import PlanCache
 from repro.ivm.delta import Delta
 from repro.ivm.view import MaterializedView
@@ -46,6 +46,7 @@ from repro.obs.qlog import observe
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits
 from repro.semirings.base import Semiring
+from repro.semirings.registry import get_semiring
 from repro.store.columns import ShreddedColumns
 from repro.store.index import StructuralIndex
 from repro.store.pushdown import PushdownExecutor
@@ -58,11 +59,36 @@ from repro.store.wal import WriteAheadLog, delta_to_payload, payload_to_delta
 from repro.uxquery.ast import Query
 from repro.uxquery.typecheck import FOREST
 
-__all__ = ["StoredDocument", "StoreStats", "DocumentStore"]
+__all__ = [
+    "META_FILE",
+    "WAL_FILE",
+    "SNAPSHOT_FILE",
+    "read_meta",
+    "StoredDocument",
+    "StoreStats",
+    "DocumentStore",
+]
 
-_META_FILE = "meta.json"
-_WAL_FILE = "wal.jsonl"
-_SNAPSHOT_FILE = "snapshot.json"
+#: The durable files of a store directory.
+META_FILE = "meta.json"
+WAL_FILE = "wal.jsonl"
+SNAPSHOT_FILE = "snapshot.json"
+
+
+def read_meta(directory: Path) -> Tuple[Optional[str], Optional[str]]:
+    """The registry semiring name ``meta.json`` pins, or why it cannot be read.
+
+    Returns ``(name, None)`` when the file names a registry semiring and
+    ``(None, problem)`` otherwise; reads nothing else and changes nothing.
+    """
+    try:
+        name = json.loads((directory / META_FILE).read_text(encoding="utf-8"))["semiring"]
+        get_semiring(name)
+    except FileNotFoundError:
+        return None, "missing store metadata"
+    except (OSError, ValueError, KeyError, TypeError, SemiringError) as error:
+        return None, f"corrupt store metadata: {error}"
+    return name, None
 
 # Pre-declared metric families: every store publishes its counters under a
 # unique ``store=`` label via a weakref pull collector over
@@ -147,8 +173,7 @@ class DocumentStore:
         directory: Path | str | None = None,
         *,
         snapshot_every: int = 0,
-        fsync: bool = False,
-        durability: str | None = None,
+        durability: str = "none",
         plan_cache: PlanCache | None = None,
     ):
         """Open (or create) a store.
@@ -165,22 +190,14 @@ class DocumentStore:
         flushes each append to the OS but survives only process crashes,
         ``"fsync"`` makes each append a true fsync barrier that also
         survives power loss, at the cost of one disk sync per operation.
-        The older ``fsync=True`` boolean is kept as an alias for
-        ``durability="fsync"``; passing both (in disagreement) is an error.
         """
         self.directory = Path(directory) if directory is not None else None
-        if durability is not None:
-            if durability not in _DURABILITY_POLICIES:
-                raise StoreError(
-                    f"unknown durability policy {durability!r}; "
-                    f"valid policies: {', '.join(sorted(_DURABILITY_POLICIES))}"
-                )
-            if fsync and durability == "none":
-                raise StoreError(
-                    "durability='none' contradicts fsync=True; pass one or the other"
-                )
-            fsync = durability == "fsync"
-        self.durability = "fsync" if fsync else "none"
+        if durability not in _DURABILITY_POLICIES:
+            raise StoreError(
+                f"unknown durability policy {durability!r}; "
+                f"valid policies: {', '.join(sorted(_DURABILITY_POLICIES))}"
+            )
+        self.durability = durability
         self._snapshot_every = snapshot_every
         self._documents: dict[str, StoredDocument] = {}
         self._views: dict[str, MaterializedView] = {}
@@ -207,15 +224,11 @@ class DocumentStore:
             return
 
         self.directory.mkdir(parents=True, exist_ok=True)
-        meta_path = self.directory / _META_FILE
+        meta_path = self.directory / META_FILE
         if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                stored_name = meta["semiring"]
-            except (ValueError, KeyError, TypeError) as error:
-                raise StoreError(f"corrupt store metadata {meta_path}: {error}") from error
-            from repro.semirings.registry import get_semiring
-
+            stored_name, problem = read_meta(self.directory)
+            if problem is not None:
+                raise StoreError(f"{meta_path}: {problem}")
             stored = get_semiring(stored_name)
             if semiring is not None and semiring != stored:
                 raise StoreError(
@@ -241,7 +254,7 @@ class DocumentStore:
                 json.dumps({"format": 1, "semiring": name}, sort_keys=True) + "\n",
                 encoding="utf-8",
             )
-        self._wal = WriteAheadLog(self.directory / _WAL_FILE, fsync=fsync)
+        self._wal = WriteAheadLog(self.directory / WAL_FILE, fsync=durability == "fsync")
         self._recover()
         self._register_metrics()
 
@@ -522,7 +535,7 @@ class DocumentStore:
             raise StoreError("an in-memory store has nothing to compact")
         self._snapshot_lsn = self._wal.last_lsn if len(self._wal) else self._snapshot_lsn
         write_snapshot(
-            self.directory / _SNAPSHOT_FILE,
+            self.directory / SNAPSHOT_FILE,
             semiring_name=self._semiring_name,
             wal_lsn=self._snapshot_lsn,
             documents={doc_id: doc.columns for doc_id, doc in self._documents.items()},
@@ -537,7 +550,7 @@ class DocumentStore:
 
     def _recover(self) -> None:
         assert self._wal is not None
-        snapshot = load_snapshot(self.directory / _SNAPSHOT_FILE)
+        snapshot = load_snapshot(self.directory / SNAPSHOT_FILE)
         if snapshot is not None:
             if snapshot["semiring"] != self.semiring:
                 raise StoreError(

@@ -13,12 +13,17 @@ registered view caches — to the uninterrupted one.
 
 Robustness notes:
 
+* :func:`scan_wal` is the only parser of WAL lines.  It has no side
+  effects: it returns the longest valid record prefix, the torn-tail and v0
+  counts and the first problem, and each caller decides what to do with
+  them — :class:`WriteAheadLog` raises or truncates, ``repro fsck`` and the
+  ``/readyz`` probe report, ``repro fsck --repair`` quarantines.
 * the **last** line of the file may be torn by a crash mid-append; a torn
   tail (bytes with no terminating newline — appends write the newline last,
-  so a *complete* line can never be torn) is physically truncated away and
-  the count of dropped bytes is reported.  Unparseable complete lines are
-  real corruption and refuse to load — silently dropping an acknowledged
-  record would be worse.
+  so a *complete* line can never be torn) is physically truncated away on
+  open and the count of dropped bytes is reported.  Unparseable complete
+  lines are real corruption and refuse to load — silently dropping an
+  acknowledged record would be worse.
 * every record is written in **format v1**: the line carries ``"v": 1`` and
   a ``"crc"`` field holding a CRC32 over the canonical serialization of the
   record without the crc/version fields
@@ -47,7 +52,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Any, Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.ivm.delta import Delta
@@ -58,7 +63,16 @@ from repro.semirings.diff import DiffPair
 from repro.store.columns import decode_obj, encode_obj
 from repro.store.integrity import integrity_error, record_crc
 
-__all__ = ["WAL_RECORD_FORMAT", "WriteAheadLog", "delta_to_payload", "payload_to_delta"]
+__all__ = [
+    "WAL_RECORD_FORMAT",
+    "WalProblem",
+    "WalRecord",
+    "WalScan",
+    "WriteAheadLog",
+    "delta_to_payload",
+    "payload_to_delta",
+    "scan_wal",
+]
 
 #: Version stamped into every appended record (the ``"v"`` field).  v0
 #: records (no ``v``/``crc``) predate checksumming and still replay.
@@ -98,6 +112,115 @@ def payload_to_delta(payload: dict, semiring: Semiring) -> Delta:
     return Delta(semiring, pairs)
 
 
+class WalRecord(NamedTuple):
+    """One valid record of a scanned WAL file."""
+
+    lsn: int
+    record: dict  # the stored record without its crc/v wire fields
+    line: int     # 1-based line number
+    start: int    # byte offset of the line in the file
+    end: int      # byte offset just past its newline
+
+
+class WalProblem(NamedTuple):
+    """The first line that invalidates a WAL file."""
+
+    line: int
+    detail: str
+    lsn: Optional[int] = None
+    cause: Optional[Exception] = None
+
+
+class WalScan(NamedTuple):
+    """Everything :func:`scan_wal` found in one WAL file."""
+
+    records: List[WalRecord]      # the longest record-valid prefix
+    valid_bytes: int              # byte length of that prefix
+    total_bytes: int
+    torn_bytes: int               # newline-less tail length (crash residue)
+    v0_records: int               # records predating the checksum format
+    problem: Optional[WalProblem]
+    suffix_lsns: List[int]        # lsns parsed best-effort out of the bad suffix
+
+
+def scan_wal(path: Path) -> WalScan:
+    """Parse a WAL file up to its first bad line, with no side effects.
+
+    A line is valid when it parses as a JSON object with an integer
+    ``lsn``, its crc (if it carries one) matches, and its lsn exceeds the
+    preceding one.  Blank lines are skipped; a missing file scans empty.
+    The bytes after the last newline are a torn tail, never a problem.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    records: List[WalRecord] = []
+    v0_records = 0
+    position = 0
+    number = 0
+    previous_lsn = 0
+    problem: Optional[WalProblem] = None
+    while position < len(data):
+        newline = data.find(b"\n", position)
+        if newline == -1:
+            break  # torn tail: a crash mid-append left no newline
+        line = data[position:newline]
+        number += 1
+        if line.strip():
+            try:
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ValueError(f"record is not a JSON object: {record!r}")
+                lsn = int(record["lsn"])
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+                problem = WalProblem(number, f"unparseable: {error}", cause=error)
+                break
+            if "crc" in record:
+                expected = record_crc(record)
+                if record["crc"] != expected:
+                    problem = WalProblem(
+                        number,
+                        f"CRC32 mismatch (stored {record['crc']!r}, computed "
+                        f"{expected}) for lsn {lsn}",
+                        lsn,
+                    )
+                    break
+            else:
+                v0_records += 1  # pre-checksum record: replayable, but counted
+            if lsn <= previous_lsn:
+                # Appends only ever extend the file with fresh, larger lsns,
+                # so a non-monotone sequence means lines were spliced or
+                # reordered — replaying a duplicated lsn would double-apply
+                # an operation.
+                problem = WalProblem(
+                    number,
+                    f"lsn {lsn} not greater than preceding lsn {previous_lsn} "
+                    "(spliced or reordered lines)",
+                    lsn,
+                )
+                break
+            previous_lsn = lsn
+            record.pop("crc", None)
+            record.pop("v", None)
+            records.append(WalRecord(lsn, record, number, position, newline + 1))
+        position = newline + 1
+    suffix_lsns: List[int] = []
+    if problem is not None:
+        # Best-effort: which acknowledged lsns sit in the unusable suffix?
+        for line in data[position:].split(b"\n"):
+            try:
+                suffix_lsns.append(int(json.loads(line.decode("utf-8"))["lsn"]))
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                continue
+    return WalScan(
+        records=records,
+        valid_bytes=position,
+        total_bytes=len(data),
+        torn_bytes=0 if problem is not None else len(data) - position,
+        v0_records=v0_records,
+        problem=problem,
+        suffix_lsns=suffix_lsns,
+    )
+
+
 class WriteAheadLog:
     """An append-only JSONL log with monotone lsns and torn-tail recovery."""
 
@@ -113,79 +236,30 @@ class WriteAheadLog:
             self._load()
 
     def _load(self) -> None:
-        data = self.path.read_bytes()
-        if not data:
-            return
-        position = 0
-        number = 0
-        previous_lsn = 0
-        while position < len(data):
-            newline = data.find(b"\n", position)
-            if newline == -1:
-                break  # torn tail: a crash mid-append left no newline
-            line = data[position:newline]
-            number += 1
-            if line.strip():
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise ValueError(f"record is not a JSON object: {record!r}")
-                    lsn = int(record["lsn"])
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
-                    # Appends write the newline last, so a complete
-                    # (newline-terminated) line can never be torn — an
-                    # unparseable one is real corruption, and silently
-                    # dropping an fsync-acknowledged record would be worse
-                    # than refusing to open.
-                    raise integrity_error(
-                        f"{self.path}:{number}: corrupt WAL record: {error}",
-                        artifact=str(self.path),
-                        kind="wal-record",
-                        line=number,
-                    ) from error
-                if "crc" in record:
-                    expected = record_crc(record)
-                    if record["crc"] != expected:
-                        raise integrity_error(
-                            f"{self.path}:{number}: corrupt WAL record: CRC32 "
-                            f"mismatch (stored {record['crc']!r}, computed "
-                            f"{expected}) for lsn {lsn}",
-                            artifact=str(self.path),
-                            kind="wal-record",
-                            line=number,
-                            lsn=lsn,
-                        )
-                else:
-                    # Pre-checksum record (format v0): replay it, but count
-                    # the downgrade so stats/fsck can surface it.
-                    self.v0_records += 1
-                if lsn <= previous_lsn:
-                    # Appends only ever extend the file with fresh, larger
-                    # lsns, so a non-monotone in-file sequence means lines
-                    # were spliced or reordered — replaying a duplicated
-                    # lsn would double-apply an operation.
-                    raise integrity_error(
-                        f"{self.path}:{number}: corrupt WAL record: lsn {lsn} "
-                        f"not greater than preceding lsn {previous_lsn}",
-                        artifact=str(self.path),
-                        kind="wal-record",
-                        line=number,
-                        lsn=lsn,
-                    )
-                previous_lsn = lsn
-                record.pop("crc", None)
-                record.pop("v", None)
-                self._records.append((lsn, record))
-                if lsn >= self._next_lsn:
-                    self._next_lsn = lsn + 1
-            position = newline + 1
-        if position < len(data):
+        scan = scan_wal(self.path)
+        problem = scan.problem
+        if problem is not None:
+            # Appends write the newline last, so a complete (newline-
+            # terminated) line can never be torn — a bad one is real
+            # corruption, and silently dropping an fsync-acknowledged
+            # record would be worse than refusing to open.
+            raise integrity_error(
+                f"{self.path}:{problem.line}: corrupt WAL record: {problem.detail}",
+                artifact=str(self.path),
+                kind="wal-record",
+                line=problem.line,
+                lsn=problem.lsn,
+            ) from problem.cause
+        self._records = [(entry.lsn, entry.record) for entry in scan.records]
+        self.v0_records = scan.v0_records
+        self.ensure_lsn_after(self.last_lsn)
+        if scan.torn_bytes:
             # Physically remove the torn tail: appends go to the end of the
             # file, so leaving partial bytes in place would corrupt the next
             # record (and lose it on the following recovery).
-            self.torn_bytes = len(data) - position
+            self.torn_bytes = scan.torn_bytes
             with open(self.path, "r+b") as handle:
-                handle.truncate(position)
+                handle.truncate(scan.valid_bytes)
 
     # ------------------------------------------------------------------ append
     def append(self, record: dict) -> int:

@@ -38,7 +38,7 @@ from repro.ivm import Delta
 from repro.resilience import corrupt_file, fail_at
 from repro.semirings import NATURAL, PROVENANCE
 from repro.semirings.registry import standard_semirings
-from repro.store import DocumentStore, fsck_store
+from repro.store import DocumentStore, fsck_store, verify_artifacts
 from repro.uxml import TreeBuilder
 from repro.workloads import random_forest, random_tree
 
@@ -202,9 +202,12 @@ class TestCorruptionExhaustive:
             start, end = _line_region(wal_path, target)
             corrupt_file(wal_path, mode, seed=seed, start=start, end=end)
 
-        # -- detect (read-only): fsck must not mutate anything ------------
+        # -- detect (read-only): neither fsck nor the probe mutates -------
         before = {p.name: p.read_bytes() for p in directory.iterdir()}
         detect = fsck_store(directory)
+        probe_errors = [
+            f for f in verify_artifacts(directory) if f.severity == "error"
+        ]
         assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
         # -- the invariant: prefix state or a typed refusal, never wrong --
@@ -212,13 +215,18 @@ class TestCorruptionExhaustive:
             recovered = _signature(DocumentStore.open(directory))
         except IntegrityError as error:
             assert error.artifact == str(damaged)
-            # Whatever refuses the open must also be visible to the scrub.
+            # Whatever refuses the open must also be visible to the scrub
+            # and to the readiness probe.
             assert not detect.ok
+            assert probe_errors
         else:
             # Silent recovery is legal only for crash-indistinguishable
             # damage (a truncation / a flipped final newline) and must land
-            # exactly on the expected prefix.
+            # exactly on the expected prefix — which the scrub and the
+            # probe must then agree is no damage.
             assert recovered == expected
+            assert detect.ok, detect.render()
+            assert not probe_errors, probe_errors
 
         # -- repair converges on the maximal salvageable prefix -----------
         report = fsck_store(directory, repair=True, deep=True)

@@ -22,6 +22,7 @@ from repro.store import (
     WriteAheadLog,
     fsck_store,
     load_snapshot,
+    verify_artifacts,
     write_snapshot,
 )
 from repro.store.columns import ShreddedColumns
@@ -204,10 +205,15 @@ class TestSnapshotEnvelope:
             "annot",
         }
 
-    def test_flipped_byte_raises_naming_the_file(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["flipped-byte", "header-stripped"])
+    def test_flipped_byte_raises_naming_the_file(self, tmp_path, damage):
         path, _ = self._write(tmp_path)
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x40
+        if damage == "flipped-byte":
+            data[len(data) // 2] ^= 0x40
+        else:
+            # A format-2 body alone parses, but nothing vouches for it.
+            del data[: data.index(b"\n") + 1]
         path.write_bytes(bytes(data))
         with pytest.raises(IntegrityError) as err:
             load_snapshot(path)
@@ -253,16 +259,6 @@ class TestDurabilityKnob:
         assert store.durability == "none"
         assert store._wal.fsync is False
 
-    def test_fsync_flag_still_works(self, tmp_path):
-        store = DocumentStore(NATURAL, directory=tmp_path / "s", fsync=True)
-        assert store.durability == "fsync"
-
-    def test_contradictory_settings_refuse(self, tmp_path):
-        with pytest.raises(StoreError, match="contradict"):
-            DocumentStore(
-                NATURAL, directory=tmp_path / "s", fsync=True, durability="none"
-            )
-
     def test_unknown_policy_refuses(self, tmp_path):
         with pytest.raises(StoreError, match="unknown durability"):
             DocumentStore(NATURAL, directory=tmp_path / "s", durability="paranoid")
@@ -278,6 +274,8 @@ class TestObservabilityWiring:
             assert kind in EVENT_CATALOG
 
     def test_checksum_mismatch_bumps_counter_and_emits(self, tmp_path):
+        """The open counts and reports a mismatch; the scrub and the probe
+        read the same file through the same reader without doing either."""
         path = tmp_path / "wal.jsonl"
         WriteAheadLog(path).append({"op": "a"})
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -285,6 +283,11 @@ class TestObservabilityWiring:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         before = INTEGRITY_ERRORS.value(artifact="wal-record") or 0
         with recording():
+            earlier = recent_events("integrity.checksum-mismatch")
+            assert not fsck_store(tmp_path).ok
+            assert verify_artifacts(tmp_path)
+            assert (INTEGRITY_ERRORS.value(artifact="wal-record") or 0) == before
+            assert recent_events("integrity.checksum-mismatch") == earlier
             with pytest.raises(IntegrityError):
                 WriteAheadLog(path)
             events = recent_events("integrity.checksum-mismatch")
@@ -306,19 +309,40 @@ class TestObservabilityWiring:
         assert quarantines and salvages
         assert salvages[-1]["attrs"]["salvaged_records"] == 1
 
-    def test_readiness_probe_flags_corruption(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage", ["wal-flip", "corrupt-meta", "unsupported-snapshot-format"]
+    )
+    def test_readiness_probe_flags_corruption(self, tmp_path, damage):
+        """Every state that stops a reopen makes the probe unready."""
         from repro.obs.http import store_integrity_check
 
-        store, _ = _build_store(tmp_path / "s")
+        directory = tmp_path / "s"
+        store, _ = _build_store(directory, compact=damage == "unsupported-snapshot-format")
         check = store_integrity_check(store)
         ok, _detail = check()
         assert ok
-        data = bytearray((tmp_path / "s" / "wal.jsonl").read_bytes())
-        data[-5] ^= 0xFF
-        (tmp_path / "s" / "wal.jsonl").write_bytes(bytes(data))
+        if damage == "wal-flip":
+            data = bytearray((directory / "wal.jsonl").read_bytes())
+            data[-5] ^= 0xFF
+            (directory / "wal.jsonl").write_bytes(bytes(data))
+            expected = ("CRC32", "unparseable")
+        elif damage == "corrupt-meta":
+            (directory / "meta.json").write_text("{not json", encoding="utf-8")
+            expected = ("corrupt store metadata",)
+        else:
+            # A valid envelope around a body this code cannot load.
+            snapshot = directory / "snapshot.json"
+            payload = json.loads(snapshot.read_text(encoding="utf-8").split("\n")[1])
+            payload["format"] = 99
+            body = json.dumps(payload, sort_keys=True) + "\n"
+            header = {"format": 2, "algo": "crc32", "checksum": crc32_text(body)}
+            snapshot.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+            expected = ("unsupported format",)
         ok, detail = check()
         assert not ok
-        assert "CRC32" in detail or "unparseable" in detail
+        assert any(fragment in detail for fragment in expected), detail
+        with pytest.raises(StoreError):
+            DocumentStore.open(directory)
 
     def test_readiness_probe_trivial_for_memory_stores(self):
         from repro.obs.http import store_integrity_check

@@ -244,7 +244,7 @@ class TestDurability:
     def test_crash_between_snapshot_and_truncate_is_safe(self, tmp_path):
         """Old WAL records at or below the snapshot lsn are never re-applied."""
         from repro.store.snapshot import write_snapshot
-        from repro.store.store import _SNAPSHOT_FILE
+        from repro.store.store import SNAPSHOT_FILE
 
         store = DocumentStore(NATURAL, directory=tmp_path / "s")
         forest = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=44)
@@ -253,7 +253,7 @@ class TestDurability:
         store.update("doc", Delta.insertion(NATURAL, tree, 1))
         # Simulate the crash window: snapshot written, WAL left untruncated.
         write_snapshot(
-            (tmp_path / "s") / _SNAPSHOT_FILE,
+            (tmp_path / "s") / SNAPSHOT_FILE,
             semiring_name="natural",
             wal_lsn=2,
             documents={"doc": store.columns("doc")},
