@@ -17,8 +17,7 @@ A small front end so the library can be used without writing Python:
 * ``python -m repro cache-stats`` — show the process-wide plan-cache
   counters (``--stats`` on query/batch/maintain prints them after a run);
 * ``python -m repro metrics`` — export every registered metric (plan
-  cache, views, stores, worker recovery, codegen) as Prometheus text or
-  JSON;
+  cache, views, stores, codegen) as Prometheus text or JSON;
 * ``python -m repro faults list`` — the fault-injection site catalog of the
   resilience layer (:mod:`repro.resilience`), with currently armed sites;
 * ``python -m repro replay`` — re-run a workload captured by the structured
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="record spans for the whole run (prepare stages, evaluate, "
-        "store/worker activity) and write them to FILE",
+        "store activity) and write them to FILE",
     )
     query.add_argument(
         "--trace-format",
@@ -191,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="FILE",
-        help="record spans for the whole batch (fan-out and worker tasks "
-        "included) and write them to FILE",
+        help="record spans for the whole batch (fan-out included) and "
+        "write them to FILE",
     )
     batch.add_argument(
         "--trace-format",
@@ -254,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = subparsers.add_parser(
         "metrics",
         help="export every registered metric (plan cache, views, store, "
-        "workers, codegen) as Prometheus text or JSON",
+        "codegen) as Prometheus text or JSON",
         description="Dump the process-wide metrics registry "
         "(:mod:`repro.obs.metrics`).  Counters published by the plan cache, "
-        "materialized views, document stores, worker recovery and the "
-        "codegen evaluator all land here; `--store DIR` opens a store first "
+        "materialized views, document stores and the codegen evaluator all "
+        "land here; `--store DIR` opens a store first "
         "so its counters (recovered state included) appear in the export.",
     )
     metrics.add_argument(
@@ -282,10 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
         "events",
         help="dump the flight-recorder event ring as JSONL",
         description="Dump the flight recorder (:mod:`repro.obs.events`): "
-        "structured events emitted at operational decision points (worker "
-        "retries and degrades, IVM recompute fallbacks, codegen declines, "
-        "pushdown fallbacks, WAL compactions, limit trips, fault "
-        "injections).  By default prints this process's in-memory ring; "
+        "structured events emitted at operational decision points (IVM "
+        "recompute fallbacks, codegen declines, pushdown fallbacks, WAL "
+        "compactions, limit trips, fault injections).  By default prints "
+        "this process's in-memory ring; "
         "`--log FILE` reads a JSONL mirror written by another process via "
         "REPRO_EVENT_LOG, and `--follow` tails it.",
     )
@@ -408,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="the fault-injection sites of the resilience layer",
         description="Inspect the failpoint registry "
         "(:mod:`repro.resilience.faults`): every named site instrumenting a "
-        "durability boundary or worker task, and which are currently armed. "
-        "Sites are armed programmatically (`fail_at(...)`) or through the "
+        "durability boundary, and which are currently armed.  Sites are "
+        "armed programmatically (`fail_at(...)`) or through the "
         "REPRO_FAULTS environment variable "
         "(`site=action:opt=value,...;site2=...`), which subprocesses inherit.",
     )
@@ -589,16 +588,16 @@ def _command_semirings(_: argparse.Namespace) -> int:
 
 
 def _exec_stats_payload() -> dict:
-    from repro.exec import default_plan_cache, worker_stats
+    from repro.exec import default_plan_cache
 
     stats = default_plan_cache().stats()
     cache = dict(stats._asdict())
     cache["hit_rate"] = stats.hit_rate
-    return {"plan_cache": cache, "workers": worker_stats()}
+    return {"plan_cache": cache}
 
 
 def _print_plan_cache_stats(as_json: bool = False) -> None:
-    from repro.exec import default_plan_cache, worker_stats
+    from repro.exec import default_plan_cache
 
     if as_json:
         import json
@@ -610,12 +609,6 @@ def _print_plan_cache_stats(as_json: bool = False) -> None:
         f"plan cache: size {stats.size}/{stats.maxsize}  hits {stats.hits}  "
         f"misses {stats.misses}  evictions {stats.evictions}  "
         f"compiles {stats.compiles}  hit-rate {stats.hit_rate:.0%}"
-    )
-    workers = worker_stats()
-    print(
-        f"workers: retries {workers['retries']}  "
-        f"pool-rebuilds {workers['pool_rebuilds']}  "
-        f"degraded {workers['degraded']}  broken-pools {workers['broken_pools']}"
     )
 
 
@@ -666,9 +659,7 @@ def _command_query(args: argparse.Namespace) -> int:
     document = _load_document(args.input, semiring, args.annot_attr)
     tracer, scope = _trace_scope(args)
     with scope:
-        prepared = cached_prepare(
-            _read_query(args.query), semiring, env={args.var: document}, method=args.method
-        )
+        prepared = cached_prepare(_read_query(args.query), semiring, env={args.var: document})
         answer = prepared.evaluate(
             {args.var: document}, method=args.method, limits=_limits_from_args(args)
         )
@@ -754,12 +745,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     if not paths:
         raise ReproError(f"no documents matching {args.glob!r} in {args.dir}")
     documents = [_load_document(str(path), semiring, args.annot_attr) for path in paths]
-    prepared = cached_prepare(
-        _read_query(args.query),
-        semiring,
-        env={args.var: documents[0]},
-        method=args.method,
-    )
+    prepared = cached_prepare(_read_query(args.query), semiring, env={args.var: documents[0]})
     evaluator = BatchEvaluator(prepared, var=args.var)
     executor = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
     limits = _limits_from_args(args)
@@ -917,7 +903,6 @@ def _command_metrics(args: argparse.Namespace) -> int:
     # Metric families are declared by the modules that publish them; import
     # every publishing subsystem so a fresh process still exports the full
     # catalog (with zero series) rather than only what this command touched.
-    import repro.exec.batch  # noqa: F401  (worker events)
     import repro.exec.plan_cache  # noqa: F401  (plan-cache families)
     import repro.ivm.view  # noqa: F401  (view maintenance)
     import repro.nrc.codegen  # noqa: F401  (codegen counters)
@@ -1375,11 +1360,6 @@ def _print_store_stats(store, as_json: bool = False) -> None:
         f"durability: wal records {stats.wal_records}  snapshots {stats.snapshots}  "
         f"recovered records {stats.recovered_records}"
     )
-    if stats.worker_retries or stats.worker_degraded:
-        print(
-            f"workers: retries {stats.worker_retries}  "
-            f"degraded {stats.worker_degraded}"
-        )
     cache = store.plan_cache.stats()
     print(
         f"plan cache: size {cache.size}/{cache.maxsize}  hits {cache.hits}  "

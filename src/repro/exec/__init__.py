@@ -25,24 +25,15 @@ Which one do I want?
   the CLI): call :func:`~repro.exec.plan_cache.cached_prepare` instead of
   ``prepare_query`` and evaluate as usual.
 * **Batch** — one query, *many documents*: amortizes frame setup and shares
-  ``srt`` memo tables across the whole batch; add an executor to fan out when
-  documents are numerous or evaluation is heavy.
+  ``srt`` memo tables across the whole batch.
 
-The batch evaluator's ``ProcessPoolExecutor`` path is the parallel mechanism:
-it works for registry semirings, with workers re-preparing from query text
-through their own plan cache, and it survives dead workers (retry on a
-rebuilt pool, then inline degradation).  Thread pools also work on any
-prepared query (compiled programs are reusable and thread-safe).
+Batches run in the calling process.  A thread pool may be passed as the
+executor (compiled programs are reusable and thread-safe); a process pool is
+refused with :class:`~repro.errors.ExecError`.
 """
 
 from repro.errors import ExecError
-from repro.exec.batch import (
-    BatchEvaluator,
-    infer_document_var,
-    reset_worker_stats,
-    scoped_worker_stats,
-    worker_stats,
-)
+from repro.exec.batch import BatchEvaluator, infer_document_var
 from repro.exec.plan_cache import CacheStats, PlanCache, cached_prepare, default_plan_cache
 
 __all__ = [
@@ -53,7 +44,4 @@ __all__ = [
     "default_plan_cache",
     "BatchEvaluator",
     "infer_document_var",
-    "worker_stats",
-    "reset_worker_stats",
-    "scoped_worker_stats",
 ]

@@ -17,8 +17,8 @@ renderings are not injective (a :class:`~repro.uxquery.ast.LabelExpr` can
 spell out any expression), so a string key could hand one query another
 query's plan.  Text and AST forms of the same query therefore occupy two
 cache entries; callers that want sharing should pick one form.
-The evaluation ``method`` is validated but deliberately **not** part of the
-key: a :class:`PreparedQuery` carries every evaluation method — including
+The evaluation ``method`` is deliberately **not** part of the key: a
+:class:`PreparedQuery` carries every evaluation method — including
 the source-generated ``nrc-codegen`` program, produced once at prepare time —
 so one compile serves ``nrc-codegen``, ``nrc``, ``nrc-interp`` and
 ``direct`` callers alike.
@@ -28,8 +28,7 @@ result.  Hit / miss / eviction / compile counts are tracked for
 observability (:meth:`PlanCache.stats`).
 
 The module also hosts a process-wide default cache (:func:`default_plan_cache`)
-and the convenience wrapper :func:`cached_prepare`, used by the CLI ``batch``
-subcommand and by process-pool batch workers.
+and the convenience wrapper :func:`cached_prepare`, used by the CLI.
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ from repro.errors import ExecError
 from repro.obs.metrics import default_registry
 from repro.semirings.base import Semiring
 from repro.uxquery.ast import Query
-from repro.uxquery.engine import (
-    DEFAULT_METHOD,
-    PreparedQuery,
-    env_types_of,
-    prepare_query,
-    validate_method,
-)
+from repro.uxquery.engine import PreparedQuery, env_types_of, prepare_query
 
 __all__ = ["CacheStats", "PlanCache", "default_plan_cache", "cached_prepare"]
 
@@ -161,14 +154,11 @@ class PlanCache:
         semiring: Semiring,
         env: Mapping[str, Any] | None = None,
         env_types: Mapping[str, str] | None = None,
-        method: str = DEFAULT_METHOD,
     ) -> PreparedQuery:
         """The prepared plan for ``query``, compiling (once) on a cold key.
 
-        ``method`` is validated for early failure but does not affect the
-        key — the returned plan supports every evaluation method.
+        The returned plan supports every evaluation method.
         """
-        validate_method(method)
         types = dict(env_types) if env_types is not None else env_types_of(env)
         key = self._key(query, semiring, types)
         owner = False
@@ -263,7 +253,7 @@ _DEFAULT_CACHE = PlanCache(maxsize=256, name="default")
 
 
 def default_plan_cache() -> PlanCache:
-    """The process-wide plan cache used by the CLI and batch workers."""
+    """The process-wide plan cache used by the CLI."""
     return _DEFAULT_CACHE
 
 
@@ -272,7 +262,6 @@ def cached_prepare(
     semiring: Semiring,
     env: Mapping[str, Any] | None = None,
     env_types: Mapping[str, str] | None = None,
-    method: str = DEFAULT_METHOD,
 ) -> PreparedQuery:
     """:func:`prepare_query` through the process-wide :class:`PlanCache`."""
-    return _DEFAULT_CACHE.get(query, semiring, env=env, env_types=env_types, method=method)
+    return _DEFAULT_CACHE.get(query, semiring, env=env, env_types=env_types)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from repro.errors import IVMError
+from repro.errors import ExecError, IVMError
 from repro.kcollections.kset import KSet
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
@@ -103,9 +103,6 @@ class _PreparedDeltaAdapter:
         self.generated = plan.generated
         self.semiring = plan.semiring
         self.env_types = {plan.delta_var: FOREST}
-
-    def evaluate(self, env: Mapping[str, Any] | None = None, method: str = "nrc") -> Any:
-        return self.compiled.evaluate(env)
 
 
 class MaterializedView:
@@ -210,16 +207,14 @@ class MaterializedView:
         over ``executor``) and merged into the view once.  Anything else
         degrades gracefully to sequential :meth:`apply`.
         """
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.exec.batch import refuse_process_pool
 
-        if isinstance(executor, ProcessPoolExecutor):
-            # Delta plans are derived, not parsed: process-pool workers could
-            # only re-prepare from query *text*, which would evaluate the
-            # original query instead of its delta plan.
-            raise IVMError(
-                "apply_many does not support process pools (delta plans are "
-                "session-local); use a thread pool or no executor"
-            )
+        # Refused up front, whichever path the stream takes: batched
+        # maintenance runs in the calling process, like every batch.
+        try:
+            refuse_process_pool(executor)
+        except ExecError as error:
+            raise IVMError(f"apply_many: {error}") from None
         deltas = list(deltas)
         for delta in deltas:
             self._check_delta(delta)

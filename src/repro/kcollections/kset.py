@@ -358,7 +358,7 @@ class KSet:
 
     def __reduce__(self):
         # The immutability guard above breaks pickle's default slot-state
-        # restore (needed to ship documents to ProcessPoolExecutor workers).
+        # restore (needed by the store's WAL and snapshot value codec).
         # The pickled items are canonical by construction, so restoring can
         # take the trusted path instead of re-normalizing every annotation.
         return (_unpickle_kset, (self._semiring, list(self._items.items())))

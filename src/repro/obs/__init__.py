@@ -6,16 +6,16 @@ armed, an instrumentation site costs a few module-global reads.
 
 * :mod:`repro.obs.metrics` — a thread-safe registry of labeled counters,
   gauges and histograms (histograms carry per-bucket trace exemplars).
-  Every pre-existing stats surface (plan cache, views, store, worker
-  recovery, codegen) publishes into it and the registry renders as JSON or
+  Every pre-existing stats surface (plan cache, views, store, codegen)
+  publishes into it and the registry renders as JSON or
   Prometheus/OpenMetrics text (``repro metrics``, ``/metrics``).
 * :mod:`repro.obs.trace` — span-based tracing across the whole pipeline
   with head sampling (``tracing(sample_rate=...)``) and tail promotion of
   slow traces.  Exportable as JSONL or Chrome ``trace_event`` JSON.
 * :mod:`repro.obs.events` — the flight recorder: a bounded ring of
-  structured events emitted at operational decision points (worker
-  retries, IVM recompute fallbacks, codegen declines, limit trips, fault
-  injections, slow calls, ...), dumpable via ``repro events`` or
+  structured events emitted at operational decision points (IVM
+  recompute fallbacks, codegen declines, limit trips, fault injections,
+  slow calls, ...), dumpable via ``repro events`` or
   ``/debug/events``.  Its :class:`~repro.obs.events.Ring` (bounded,
   sequence-stamped, optional size-rotated JSONL mirror) also backs the
   query log.

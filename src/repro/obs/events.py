@@ -1,7 +1,7 @@
 """Flight recorder: a bounded ring of structured "something notable happened" events.
 
-PR 7's counters say *how often* the interesting things happened — worker
-retries, recompute fallbacks, codegen declines, fault trips — but not
+The metrics counters say *how often* the interesting things happened —
+recompute fallbacks, codegen declines, limit trips, fault trips — but not
 *when*, *why*, or *inside which trace*.  This module is the always-on
 complement: every such site calls :func:`emit` with a typed kind and
 structured attributes, and the event lands in a bounded, thread-safe ring
@@ -12,13 +12,13 @@ server's ``/debug/events``) and optionally mirrors to a JSONL file
 Cost discipline (the :func:`repro.resilience.faults.fail_point` contract):
 :func:`emit` is one module-global read when recording is disabled, and the
 ring is only ever touched on *cold* paths — event sites are exceptional by
-definition (a retry, a fallback, a trip), never the per-evaluate hot loop —
+definition (a fallback, a decline, a trip), never the per-evaluate hot loop —
 so the recorder stays armed by default (``REPRO_EVENTS=off`` disables).
 
 Every event carries the active trace id when tracing is armed (sampled
 *or* head-sampled-out scopes both expose their id — see
-:mod:`repro.obs.trace`), which is what links a ``worker.retry`` event to
-the exact batch evaluation that suffered it.
+:mod:`repro.obs.trace`), which is what links an ``ivm.recompute`` event to
+the exact view update that suffered it.
 
 The :class:`Ring` behind the recorder is shared with the query log
 (:mod:`repro.obs.qlog`): one bounded, sequence-stamped, thread-safe ring
@@ -70,9 +70,6 @@ DEFAULT_RING_CAPACITY = 512
 #: undeclared kinds so the catalog stays the single source of truth
 #: (tests and ad-hoc tooling extend it through :func:`declare_event`).
 EVENT_CATALOG: dict[str, str] = {
-    "worker.pool_broken": "a process pool broke mid-batch (exec.batch)",
-    "worker.retry": "a failed batch partition was retried on a rebuilt pool",
-    "worker.degraded": "retry budget spent; a failed partition ran inline",
     "ivm.recompute": "view maintenance fell back to full recomputation",
     "codegen.decline": "source codegen declined an expression (closure fallback)",
     "store.pushdown_fallback": "navigation pushdown declined; single-shot fallback",

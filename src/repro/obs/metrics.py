@@ -2,14 +2,14 @@
 
 The library's stats surfaces predate this module and remain the canonical
 per-instance accessors (``PlanCache.stats()``, ``DocumentStore.stats()``,
-``worker_stats()``, ``codegen_stats()``); what was missing is one place
+``codegen_stats()``); what was missing is one place
 that aggregates them for machine consumption.  Two publication styles keep
 the hot paths honest:
 
 * **direct instruments** — counters/gauges/histograms incremented at the
-  event site, under the registry lock.  Used for cold events (worker
-  retries, pool rebuilds, codegen compilations, slow queries) where a lock
-  per event is immaterial;
+  event site, under the registry lock.  Used for cold events (codegen
+  compilations, view maintenance kinds, slow queries) where a lock per
+  event is immaterial;
 * **collectors** — callables run at *export* time that read an existing
   stats surface and emit samples.  Used for hot, racy-by-design counters
   (``CodegenProgram.calls`` bulk accounting) and for per-instance surfaces

@@ -18,15 +18,6 @@ Parent/child nesting is tracked per thread; spans started on pool threads
 without an enclosing span become trace roots, still tagged with the
 tracer's trace id.
 
-**Process workers.** A worker process cannot append to the parent's span
-list, so fan-out sites ship a *payload* ``(trace_id, parent_span_id,
-sidecar_path)`` with each task (exactly how ``EvalLimits`` deadlines cross
-the boundary).  Inside the worker, :func:`worker_trace` arms a local
-tracer seeded with that trace id and, on exit, appends the collected
-spans to the sidecar file as JSONL in a single ``O_APPEND`` write.  The
-parent tracer absorbs the sidecar when its ``tracing()`` scope closes (or
-on :meth:`Tracer.collect`), reassembling one trace by trace id.
-
 **Sampling.** ``tracing(sample_rate=0.01)`` lets tracing stay armed under
 production load: the keep/drop decision is made *at scope entry* (cheap
 head sampling — one random draw), and a sampled-out scope records no spans
@@ -44,19 +35,16 @@ from __future__ import annotations
 import json
 import os
 import random
-import tempfile
 import threading
 import time
 import uuid
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = [
     "Span",
     "Tracer",
     "span",
     "tracing",
-    "trace_payload",
-    "worker_trace",
     "current_trace_id",
     "export_jsonl",
     "export_chrome",
@@ -101,18 +89,6 @@ class Span:
             "tid": self.tid,
             "attrs": self.attrs,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Span":
-        restored = cls(
-            payload["trace_id"], payload["span_id"], payload.get("parent_id"),
-            payload["name"], dict(payload.get("attrs") or {}),
-        )
-        restored.start_wall = payload.get("start", 0.0)
-        restored.duration = payload.get("duration", 0.0)
-        restored.pid = payload.get("pid", 0)
-        restored.tid = payload.get("tid", 0)
-        return restored
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Span {self.name} {self.duration * 1000:.3f}ms>"
@@ -179,10 +155,8 @@ def _current_parent() -> str | None:
 class Tracer:
     """Collects spans for one trace; thread-safe appends."""
 
-    def __init__(self, trace_id: str | None = None,
-                 default_parent: str | None = None):
-        self.trace_id = trace_id or uuid.uuid4().hex
-        self.default_parent = default_parent
+    def __init__(self):
+        self.trace_id = uuid.uuid4().hex
         self.spans: list[Span] = []
         #: Head-sampling verdict while the scope is open (span sites read
         #: it); the final keep/drop verdict once the scope closes.
@@ -190,52 +164,10 @@ class Tracer:
         #: True when a sampled-out trace was kept by tail promotion.
         self.promoted = False
         self._lock = threading.Lock()
-        self._sidecar: str | None = None
 
     def add(self, finished: Span) -> None:
-        if finished.parent_id is None and self.default_parent is not None:
-            finished.parent_id = self.default_parent
         with self._lock:
             self.spans.append(finished)
-
-    # --------------------------------------------------------- cross-process
-    def payload(self) -> tuple[str, str | None, str]:
-        """The ``(trace_id, parent_span_id, sidecar_path)`` shipped to workers."""
-        if self._sidecar is None:
-            handle, path = tempfile.mkstemp(prefix="repro-trace-", suffix=".jsonl")
-            os.close(handle)
-            self._sidecar = path
-        return (self.trace_id, _current_parent(), self._sidecar)
-
-    def collect(self) -> None:
-        """Absorb worker spans from the sidecar file (matched by trace id)."""
-        path = self._sidecar
-        if path is None:
-            return
-        try:
-            with open(path, "r", encoding="utf-8") as sidecar:
-                lines = sidecar.readlines()
-        except OSError:
-            lines = []
-        absorbed = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record.get("trace_id") != self.trace_id:
-                continue
-            with self._lock:
-                self.spans.append(Span.from_dict(record))
-            absorbed += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        self._sidecar = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Tracer {self.trace_id[:8]} spans={len(self.spans)}>"
@@ -313,7 +245,6 @@ class tracing:
             _TRACER = self._previous
             _ACTIVE = _TRACER is not None
         elapsed = time.perf_counter() - self._started
-        self.tracer.collect()
         if self.tracer.sampled:
             return
         # Tail promotion: a sampled-out scope slower than the slow-query
@@ -338,56 +269,6 @@ class tracing:
         else:
             with self.tracer._lock:
                 self.tracer.spans.clear()
-
-
-def trace_payload() -> tuple[str, str | None, str] | None:
-    """The cross-process payload for the armed tracer, or ``None``.
-
-    Fan-out sites attach this to each worker task; ``None`` (tracing
-    disarmed) costs one global read.  Sampled-out scopes also return
-    ``None`` — workers record nothing for a trace that will be dropped.
-    """
-    if not _ACTIVE:
-        return None
-    tracer = _TRACER
-    if tracer is None or not tracer.sampled:
-        return None
-    return tracer.payload()
-
-
-class worker_trace:
-    """Arm tracing inside a process worker from a fan-out payload.
-
-    On exit, appends the worker's spans to the sidecar file in one
-    ``O_APPEND`` write (atomic enough for concurrent workers) so the
-    parent tracer can reassemble the trace by id.
-    """
-
-    def __init__(self, payload: tuple[str, str | None, str] | None):
-        self.payload = payload
-        self._scope: tracing | None = None
-
-    def __enter__(self) -> "worker_trace":
-        if self.payload is not None:
-            trace_id, parent_id, _path = self.payload
-            self._scope = tracing(Tracer(trace_id, default_parent=parent_id))
-            self._scope.__enter__()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._scope is None:
-            return
-        tracer = self._scope.tracer
-        self._scope.__exit__(*exc)
-        _trace_id, _parent_id, path = self.payload  # type: ignore[misc]
-        if not tracer.spans:
-            return
-        blob = "".join(json.dumps(s.to_dict()) + "\n" for s in tracer.spans)
-        try:
-            with open(path, "a", encoding="utf-8") as sidecar:
-                sidecar.write(blob)
-        except OSError:  # pragma: no cover - sidecar vanished
-            pass
 
 
 # ---------------------------------------------------------------------------

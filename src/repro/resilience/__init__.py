@@ -3,10 +3,9 @@
 Two halves, both cooperative and dependency-free:
 
 - :mod:`repro.resilience.faults` — a thread-safe registry of named
-  **failpoints** compiled into the store's durability boundaries and the
-  exec layer's worker tasks.  Tests arm a site with a deterministic
-  trigger (nth hit, fire-once, seeded probability, cross-process flag
-  file) and an action (raise, simulated crash, process exit, delay) to
+  **failpoints** compiled into the store's durability boundaries.  Tests
+  arm a site with a deterministic trigger (nth hit, fire-once, seeded
+  probability) and an action (raise, simulated crash, delay, corrupt) to
   prove the recovery invariant at every I/O boundary.
 
 - :mod:`repro.resilience.limits` — declarative :class:`EvalLimits`

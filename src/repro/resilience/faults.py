@@ -13,7 +13,6 @@ and an action:
         ...
     with fail_at("snapshot.replace", action="crash", hits=2):
         ...                                       # simulated crash on 2nd hit
-    fail_at("exec.worker.task", action="exit", flag=path)  # kill ONE process
 
 Triggers
 --------
@@ -25,10 +24,6 @@ Triggers
 ``probability=p, seed=s``
     Fire each eligible hit with probability ``p`` from a seeded RNG —
     deterministic for a given seed.
-``flag=path``
-    Cross-process fire-once: the hit fires only if ``path`` can be
-    created atomically (``O_CREAT | O_EXCL``).  The first process (or
-    pool worker) to reach the site wins; everyone else passes through.
 
 Actions
 -------
@@ -39,9 +34,6 @@ Actions
     sails past ``except Exception`` handlers, modelling a process that
     stopped dead at the site.  In-process crash harnesses catch it
     explicitly and then reopen state from disk.
-``exit``
-    ``os._exit(EXIT_CODE)`` — a real, unclean process death.  Used to
-    kill process-pool workers.
 ``delay``
     Sleep ``delay_s`` seconds, then continue (for races/timeouts).
 ``corrupt``
@@ -57,13 +49,12 @@ Actions
 Environment variable
 --------------------
 ``REPRO_FAULTS`` carries ``site=action:opt=value,opt=value`` entries
-joined by ``;`` so subprocesses (spawn-start pool workers, CLI-spawned
-processes) inherit armed faults::
+joined by ``;`` so subprocesses (a CLI run under test) inherit armed
+faults::
 
-    REPRO_FAULTS='wal.append.fsync=raise:hits=2;exec.worker.task=exit:flag=/tmp/f'
+    REPRO_FAULTS='wal.append.fsync=raise:hits=2;wal.truncate=crash'
 
-The module parses it at import time.  Fork-start workers additionally
-inherit the parent's in-memory registry directly.
+The module parses it at import time.
 """
 
 from __future__ import annotations
@@ -79,9 +70,8 @@ from repro.errors import FaultInjected, ResilienceError
 from repro.obs.events import emit
 
 ENV_VAR = "REPRO_FAULTS"
-EXIT_CODE = 87  # distinctive status for `exit`-action deaths
 
-_ACTIONS = ("raise", "crash", "exit", "delay", "corrupt")
+_ACTIONS = ("raise", "crash", "delay", "corrupt")
 _CORRUPT_MODES = ("flip", "truncate", "garbage")
 
 #: Catalog of every failpoint compiled into the library, site -> description.
@@ -98,7 +88,6 @@ SITE_CATALOG: Dict[str, str] = {
     "store.ingest.apply": "between WAL append and in-memory ingest apply",
     "store.update.apply": "between WAL append and in-memory update apply",
     "store.view.apply": "between WAL append and in-memory view registration",
-    "exec.worker.task": "at entry of a process-pool worker task",
     "corrupt.wal.record": "after a WAL record is durably appended (region: that record's bytes)",
     "corrupt.snapshot.file": "after os.replace publishes a snapshot (region: the whole file)",
 }
@@ -179,7 +168,6 @@ class FailPoint:
         "times",
         "probability",
         "delay_s",
-        "flag",
         "seed",
         "mode",
         "flips",
@@ -199,7 +187,6 @@ class FailPoint:
         probability: Optional[float] = None,
         seed: int = 0,
         delay_s: float = 0.01,
-        flag: Optional[str] = None,
         mode: str = "flip",
         flips: int = 1,
     ):
@@ -226,7 +213,6 @@ class FailPoint:
         self.times = times
         self.probability = probability
         self.delay_s = delay_s
-        self.flag = flag
         self.seed = seed
         self.mode = mode
         self.flips = flips
@@ -244,21 +230,12 @@ class FailPoint:
             return False
         if self._rng is not None and self._rng.random() >= self.probability:
             return False
-        if self.flag is not None:
-            try:
-                fd = os.open(self.flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return False
-            os.write(fd, str(os.getpid()).encode("ascii"))
-            os.close(fd)
         self.fired += 1
         return True
 
     def _fire(self, context: Optional[dict] = None) -> None:
         """Perform the action.  Called outside the lock."""
         context = context or {}
-        # Emit before acting: the JSONL mirror (REPRO_EVENT_LOG) must survive
-        # even the os._exit action, which skips every Python-level teardown.
         emit(
             "fault.injected",
             site=self.site,
@@ -270,8 +247,6 @@ class FailPoint:
             raise FaultInjected(f"fault injected at {self.site!r}")
         if self.action == "crash":
             raise SimulatedCrash(self.site)
-        if self.action == "exit":
-            os._exit(EXIT_CODE)
         if self.action == "corrupt":
             path = context.get("path")
             if path is None:
@@ -309,8 +284,6 @@ class FailPoint:
                 opts.append(f"flips={self.flips}")
             if self.seed:
                 opts.append(f"seed={self.seed}")
-        if self.flag is not None:
-            opts.append(f"flag={self.flag}")
         rendered = f"{self.site}={self.action}"
         if opts:
             rendered += ":" + ",".join(opts)
@@ -425,7 +398,7 @@ def _parse_options(text: str) -> dict:
             options[key] = int(raw)
         elif key in ("probability", "delay_s"):
             options[key] = float(raw)
-        elif key in ("flag", "mode"):
+        elif key == "mode":
             options[key] = raw
         else:
             raise ResilienceError(f"unknown failpoint option {key!r}")

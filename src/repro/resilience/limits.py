@@ -72,11 +72,6 @@ class EvalLimits:
         """Arm a guard now: the deadline clock starts at this call."""
         return LimitGuard(self)
 
-    def remaining(self, guard: "LimitGuard") -> Optional[float]:
-        if guard.deadline is None:
-            return None
-        return max(0.0, guard.deadline - time.monotonic())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
         if self.timeout_s is not None:

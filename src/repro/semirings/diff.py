@@ -64,8 +64,8 @@ class DiffPair:
 
     def __reduce__(self):
         # The immutability guard breaks pickle's default slot-state restore
-        # (needed to ship Diff(K)-annotated values to process pools and into
-        # the store's durable formats).
+        # (needed to carry Diff(K)-annotated values into the store's durable
+        # formats).
         return (DiffPair, (self.pos, self.neg))
 
 

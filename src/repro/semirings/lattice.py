@@ -125,7 +125,7 @@ class SubsetLatticeSemiring(LatticeSemiring):
     def __reduce__(self):
         # The lattice operations are closures, which pickle cannot serialize;
         # rebuilding from the universe restores an equal instance (needed to
-        # ship lattice-annotated values to process pools and durable stores).
+        # carry lattice-annotated values into durable stores).
         return (SubsetLatticeSemiring, (self._universe, self.name))
 
     def parse_element(self, text: str) -> frozenset[str]:

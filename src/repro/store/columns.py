@@ -18,8 +18,8 @@ sequentially along that order, so the rows below a node form a contiguous
 The module also hosts the value codec used by the WAL and snapshots:
 annotations (and delta member trees) are arbitrary immutable Python values,
 so they are serialized with :mod:`pickle` and carried inside the JSON files
-as base64 text.  The codec is exact for every registry semiring — the same
-``__reduce__`` support that ships documents to process pools — whereas a
+as base64 text.  The codec is exact for every registry semiring — through
+the ``__reduce__`` support of K-sets, trees and semiring values — whereas a
 textual ``repr_element``/``parse_element`` round-trip is not available for
 all of them (e.g. why-provenance).
 """

@@ -154,8 +154,6 @@ class StoreStats(NamedTuple):
     wal_records: int
     snapshots: int
     recovered_records: int
-    worker_retries: int = 0
-    worker_degraded: int = 0
     wal_v0_records: int = 0
 
     @property
@@ -207,8 +205,6 @@ class DocumentStore:
         self._ingests = 0
         self._updates = 0
         self._queries = 0
-        self._worker_retries = 0
-        self._worker_degraded = 0
         self._snapshots = 0
         self._recovered_records = 0
         self._snapshot_lsn = 0
@@ -451,7 +447,8 @@ class DocumentStore:
         The stored forests are reused directly — no re-shredding, no
         re-parsing — through :class:`~repro.exec.batch.BatchEvaluator` (one
         frame template, shared ``srt`` memo); ``merge=True`` unions the
-        per-document K-sets exactly.
+        per-document K-sets exactly.  ``executor`` may be a thread pool; the
+        batch runs in this process.
         """
         from repro.exec.batch import BatchEvaluator
 
@@ -466,20 +463,16 @@ class DocumentStore:
         self._queries += len(ids)
         evaluator = BatchEvaluator(prepared, var=var)
         run = evaluator.evaluate_merged if merge else evaluator.evaluate_many
-        try:
-            with observe(
-                "store.query_many",
-                prepared,
-                store=self._metrics_label,
-                docs=ids,
-                var=var,
-                merge=merge,
-            ) as obs:
-                result = run(documents, env=env, executor=executor, limits=limits)
-                return obs.done(result, method="nrc-codegen")
-        finally:
-            self._worker_retries += evaluator.worker_retries
-            self._worker_degraded += evaluator.worker_degraded
+        with observe(
+            "store.query_many",
+            prepared,
+            store=self._metrics_label,
+            docs=ids,
+            var=var,
+            merge=merge,
+        ) as obs:
+            result = run(documents, env=env, executor=executor, limits=limits)
+            return obs.done(result, method="nrc-codegen")
 
     # ------------------------------------------------------------------- views
     def register_view(self, name: str, query: str, doc_id: str, var: str = "S") -> MaterializedView:
@@ -598,8 +591,6 @@ class DocumentStore:
             wal_records=len(self._wal) if self._wal is not None else 0,
             snapshots=self._snapshots,
             recovered_records=self._recovered_records,
-            worker_retries=self._worker_retries,
-            worker_degraded=self._worker_degraded,
             wal_v0_records=self._wal.v0_records if self._wal is not None else 0,
         )
 

@@ -137,9 +137,10 @@ class UTree:
         raise AttributeError("UTree instances are immutable")
 
     def __reduce__(self):
-        # The immutability guard breaks pickle's default slot-state restore.
-        # The pickled parts already satisfy the constructor invariants, so
-        # restoring skips the per-child re-validation.
+        # The immutability guard breaks pickle's default slot-state restore
+        # (needed by the store's WAL and snapshot value codec).  The pickled
+        # parts already satisfy the constructor invariants, so restoring
+        # skips the per-child re-validation.
         return (_unpickle_utree, (self._label, self._children))
 
 

@@ -324,7 +324,7 @@ class PreparedQuery:
         document is bound to the document variable (``document_var``, inferred
         when omitted), ``env`` supplies the remaining bindings, and a list of
         per-document results is returned, optionally fanned out over a
-        ``concurrent.futures`` ``executor``.
+        thread-pool ``executor`` (batches run in the calling process).
 
         ``limits=`` attaches an :class:`~repro.resilience.limits.EvalLimits`
         guardrail: the deadline clock starts at this call, the evaluators
@@ -447,10 +447,13 @@ def evaluate_query(
         var = document_var or "S"
         types = env_types_of(env)
         if not documents:
-            # Still fail loudly on a bad method or query; the document
-            # variable cannot be typed without a document, so typechecking
-            # is deferred unless env covers it.
+            # Still fail loudly on a bad method, executor or query; the
+            # document variable cannot be typed without a document, so
+            # typechecking is deferred unless env covers it.
+            from repro.exec.batch import refuse_process_pool
+
             validate_method(method)
+            refuse_process_pool(executor)
             ast = parse_query(query) if isinstance(query, str) else query
             if var in types:
                 prepare_query(ast, semiring, env_types=types)

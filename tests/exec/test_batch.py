@@ -6,14 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import ExecError
+from repro.errors import BudgetExceededError, ExecError, QueryTimeoutError
 from repro.exec import BatchEvaluator, infer_document_var
 from repro.kcollections import KSet
+from repro.resilience import EvalLimits
 from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, standard_semirings
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest
 
 REGISTRY_SEMIRINGS = list(standard_semirings())
+
+METHODS = ["nrc-codegen", "nrc", "nrc-interp", "direct"]
 
 QUERIES = [
     "($S)/*",
@@ -113,18 +116,6 @@ class TestMergedEqualsSingleShotOnTheWholeForest:
         prepared = prepare_query("($S)/*/*", semiring, {"S": forest})
         single = prepared.evaluate({"S": forest})
         with ThreadPoolExecutor(max_workers=4) as executor:
-            merged = BatchEvaluator(prepared).evaluate_merged(
-                _split(forest, 4), executor=executor
-            )
-        assert merged == single
-
-    def test_process_pool_matches_single_shot(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        forest = _forest(NATURAL, num_trees=8)
-        prepared = prepare_query("($S)/*/*", NATURAL, {"S": forest})
-        single = prepared.evaluate({"S": forest})
-        with ProcessPoolExecutor(max_workers=2) as executor:
             merged = BatchEvaluator(prepared).evaluate_merged(
                 _split(forest, 4), executor=executor
             )
@@ -239,33 +230,156 @@ def test_merged_rejects_non_forest_results():
 
 
 class TestProcessPool:
-    def test_process_pool_matches_inline(self):
+    """Batches run in the calling process: a process pool is refused with a
+    typed error at every batch entry point, before any document runs."""
+
+    @pytest.fixture
+    def pool(self):
         from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(max_workers=1) as executor:
+            yield executor
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A plan whose generated program counts every document it runs."""
         documents = _documents(NATURAL, count=4)
         prepared = prepare_query("($S)/*/*", NATURAL, {"S": documents[0]})
-        evaluator = BatchEvaluator(prepared)
-        inline = evaluator.evaluate_many(documents)
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            assert evaluator.evaluate_many(documents, executor=executor) == inline
+        runs = []
+        program = prepared.program_for("nrc-codegen")
+        original = program._run
 
-    def test_process_pool_rejects_unregistered_semiring(self):
-        from concurrent.futures import ProcessPoolExecutor
+        def counting_run(frame):
+            runs.append(frame)
+            return original(frame)
 
-        from repro.semirings import BOOLEAN, ProductSemiring
+        monkeypatch.setattr(program, "_run", counting_run)
+        return prepared, documents, runs
 
-        semiring = ProductSemiring(BOOLEAN, NATURAL)  # not in the registry
-        documents = _documents(semiring, count=2)
-        prepared = prepare_query("($S)/*", semiring, {"S": documents[0]})
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            with pytest.raises(ExecError, match="registry"):
-                BatchEvaluator(prepared).evaluate_many(documents, executor=executor)
+    @pytest.mark.parametrize("entry", ["evaluate_many", "evaluate_merged"])
+    def test_batch_evaluator_refuses_process_pools(self, pool, counted, entry):
+        prepared, documents, runs = counted
+        run = getattr(BatchEvaluator(prepared), entry)
+        with pytest.raises(ExecError, match="process pools"):
+            run(documents, executor=pool)
+        assert runs == []
+        run(documents)  # the counter sees the documents an inline batch runs
+        assert len(runs) == len(documents)
+
+    def test_prepared_evaluate_refuses_process_pools(self, pool, counted):
+        prepared, documents, runs = counted
+        with pytest.raises(ExecError, match="process pools"):
+            prepared.evaluate(documents=documents, executor=pool)
+        assert runs == []
+
+    @pytest.mark.parametrize("count", [2, 0])
+    def test_evaluate_query_refuses_process_pools(self, pool, count):
+        from repro.uxquery import evaluate_query
+
+        documents = _documents(NATURAL, count=count)
+        with pytest.raises(ExecError, match="process pools"):
+            evaluate_query("($S)/*", NATURAL, documents=documents, executor=pool)
+
+    def test_store_query_many_refuses_process_pools(self, pool):
+        from repro.store import DocumentStore
+
+        store = DocumentStore(NATURAL)
+        for index, document in enumerate(_documents(NATURAL, count=2)):
+            store.ingest(f"d{index}", document)
+        with pytest.raises(ExecError, match="process pools"):
+            store.query_many("($S)/*", executor=pool)
 
 
 def test_documents_round_trip_through_pickle():
-    """KSet/UTree __reduce__: what process-pool batches ship to workers."""
+    """KSet/UTree __reduce__: what the store's WAL and snapshot codec pickles."""
     import pickle
 
     for semiring in (NATURAL, PROVENANCE):
         for document in _documents(semiring, count=2):
             assert pickle.loads(pickle.dumps(document)) == document
+
+
+@pytest.fixture(params=["inline", "threads"])
+def executor(request):
+    """No executor, or a two-thread pool: both run in this process."""
+    if request.param == "inline":
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+class TestBatchGuardrails:
+    """``limits=`` bounds the whole batch, inline or on a thread pool, and
+    trips the same typed error under every method."""
+
+    @pytest.fixture
+    def batch(self):
+        documents = _documents(NATURAL, count=4)
+        prepared = prepare_query("($S)/*", NATURAL, {"S": documents[0]})
+        return BatchEvaluator(prepared), documents
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_expired_deadline_raises_timeout(self, batch, executor, method):
+        evaluator, documents = batch
+        with pytest.raises(QueryTimeoutError):
+            evaluator.evaluate_many(
+                documents, method=method, executor=executor, limits=EvalLimits(timeout_s=0)
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_row_budget_raises_budget_exceeded(self, batch, executor, method):
+        evaluator, documents = batch
+        # The final result exceeds the budget, so every method must agree.
+        assert max(len(result) for result in evaluator.evaluate_many(documents)) > 1
+        with pytest.raises(BudgetExceededError):
+            evaluator.evaluate_many(
+                documents, method=method, executor=executor, limits=EvalLimits(max_rows=1)
+            )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_generous_limits_return_the_unguarded_result(self, batch, executor, method):
+        evaluator, documents = batch
+        expected = evaluator.evaluate_many(documents, method=method)
+        guarded = evaluator.evaluate_many(
+            documents, method=method, executor=executor, limits=EvalLimits(timeout_s=300)
+        )
+        assert guarded == expected
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_store_query_many_honours_the_deadline(self, executor, merge):
+        from repro.store import DocumentStore
+
+        store = DocumentStore(NATURAL)
+        for index, document in enumerate(_documents(NATURAL, count=3)):
+            store.ingest(f"d{index}", document)
+        with pytest.raises(QueryTimeoutError):
+            store.query_many(
+                "($S)/*", merge=merge, executor=executor, limits=EvalLimits(timeout_s=0)
+            )
+
+
+def test_opening_a_store_loads_no_process_pool_machinery():
+    """Batches run in this process, so importing the store and the CLI (what
+    every cold ``repro store query`` pays) loads no multiprocessing."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro.store, repro.cli\n"
+        "print(sorted(name for name in ('multiprocessing', 'concurrent.futures')"
+        " if name in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+    assert output == "[]"

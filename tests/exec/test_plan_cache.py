@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import ExecError, UXQueryEvalError
+from repro.errors import ExecError
 from repro.exec import PlanCache, cached_prepare, default_plan_cache
 from repro.semirings import NATURAL, PROVENANCE
 from repro.uxquery.engine import prepare_query
@@ -37,10 +37,11 @@ class TestPlanCacheBasics:
     def test_methods_share_one_plan(self, forest):
         """Plans are method-independent: one compile serves every method."""
         cache = PlanCache(maxsize=8)
-        nrc_plan = cache.get("($S)/*", NATURAL, env={"S": forest})
-        interp_plan = cache.get("($S)/*", NATURAL, env={"S": forest}, method="nrc-interp")
-        direct_plan = cache.get("($S)/*", NATURAL, env={"S": forest}, method="direct")
-        assert nrc_plan is interp_plan is direct_plan
+        plan = cache.get("($S)/*", NATURAL, env={"S": forest})
+        expected = plan.evaluate({"S": forest})
+        for method in ("nrc-codegen", "nrc", "nrc-interp", "direct"):
+            assert cache.get("($S)/*", NATURAL, env={"S": forest}) is plan
+            assert plan.evaluate({"S": forest}, method=method) == expected
         assert cache.stats().compiles == 1
 
     def test_query_ast_keys_structurally(self, forest):
@@ -82,11 +83,9 @@ class TestPlanCacheBasics:
         cache.get("($S)/*", NATURAL, env={"S": forest})
         assert cache.stats().compiles == 2
 
-    def test_rejects_bad_maxsize_and_method(self, forest):
+    def test_rejects_bad_maxsize(self):
         with pytest.raises(ExecError):
             PlanCache(maxsize=0)
-        with pytest.raises(UXQueryEvalError, match="valid methods"):
-            PlanCache(maxsize=2).get("($S)/*", NATURAL, env={"S": forest}, method="turbo")
 
     def test_error_during_compile_is_not_cached(self, forest):
         cache = PlanCache(maxsize=4)

@@ -75,7 +75,7 @@ class TestRingSemantics:
         def hammer(worker: int):
             try:
                 for index in range(50):
-                    events.emit("worker.retry", documents=1, worker=worker, index=index)
+                    events.emit("store.wal_compact", documents=1, worker=worker, index=index)
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -85,9 +85,9 @@ class TestRingSemantics:
         for thread in threads:
             thread.join()
         assert not errors
-        retries = events.recent_events(kind="worker.retry")
-        assert len(retries) == 200
-        assert len({event["seq"] for event in retries}) == 200
+        compactions = events.recent_events(kind="store.wal_compact")
+        assert len(compactions) == 200
+        assert len({event["seq"] for event in compactions}) == 200
 
     @pytest.mark.parametrize("keep", [0, 1, 2])
     def test_shared_ring_bounds_filters_and_rotates_its_mirror(self, tmp_path, keep):
@@ -166,65 +166,6 @@ class TestConfiguration:
 
 class TestWiredSites:
     """Every instrumented subsystem leaves its event in the ring."""
-
-    def test_worker_death_leaves_traced_retry_events(self, tmp_path):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.exec import BatchEvaluator, scoped_worker_stats
-        from repro.resilience import disarm_all, fail_at
-        from repro.semirings import NATURAL
-        from repro.uxquery import prepare_query
-        from repro.workloads import random_forest
-
-        documents = [
-            random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=60 + n)
-            for n in range(4)
-        ]
-        prepared = prepare_query("($S)/*", NATURAL, {"S": documents[0]})
-        evaluator = BatchEvaluator(prepared)
-        expected = evaluator.evaluate_many(documents)
-        disarm_all()
-        with scoped_worker_stats():
-            with fail_at("exec.worker.task", action="exit", flag=str(tmp_path / "killed")):
-                with tracing(sample_rate=1.0) as tracer:
-                    with ProcessPoolExecutor(max_workers=2) as executor:
-                        results = evaluator.evaluate_many(documents, executor=executor)
-        disarm_all()
-        assert results == expected
-        broken = events.recent_events(kind="worker.pool_broken")
-        retried = events.recent_events(kind="worker.retry")
-        assert broken and retried
-        assert tracer.sampled
-        assert broken[-1]["trace_id"] == tracer.trace_id
-        assert retried[-1]["trace_id"] == tracer.trace_id
-        assert retried[-1]["attrs"]["documents"] >= 1
-
-    def test_spent_retry_budget_emits_degraded(self, tmp_path, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.exec import BatchEvaluator, scoped_worker_stats
-        from repro.exec import batch as batch_module
-        from repro.resilience import disarm_all, fail_at
-        from repro.semirings import NATURAL
-        from repro.uxquery import prepare_query
-        from repro.workloads import random_forest
-
-        monkeypatch.setattr(batch_module, "_RETRY_BUDGET", 0)
-        documents = [
-            random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=70 + n)
-            for n in range(3)
-        ]
-        prepared = prepare_query("($S)/*", NATURAL, {"S": documents[0]})
-        evaluator = BatchEvaluator(prepared)
-        disarm_all()
-        with scoped_worker_stats():
-            with fail_at("exec.worker.task", action="exit", flag=str(tmp_path / "killed")):
-                with ProcessPoolExecutor(max_workers=2) as executor:
-                    evaluator.evaluate_many(documents, executor=executor)
-        disarm_all()
-        degraded = events.recent_events(kind="worker.degraded")
-        assert degraded
-        assert degraded[-1]["attrs"]["retry_budget"] == 0
 
     def test_forced_ivm_recompute_is_traced_with_a_reason(self):
         from repro.ivm import Delta

@@ -305,7 +305,6 @@ class TestDefaultRegistryIntegration:
     def test_subsystem_families_are_published(self):
         # Importing the subsystems registers their families; a fresh export
         # must expose every surface the CLI promises.
-        import repro.exec.batch  # noqa: F401  (worker events)
         import repro.exec.plan_cache  # noqa: F401  (plan-cache families)
         import repro.ivm.view  # noqa: F401  (view maintenance)
         import repro.nrc.codegen  # noqa: F401  (codegen counters)
@@ -316,7 +315,6 @@ class TestDefaultRegistryIntegration:
             "repro_plan_cache_hits_total",
             "repro_view_maintenance_total",
             "repro_store_operations_total",
-            "repro_worker_events_total",
             "repro_codegen_generated_total",
             "repro_codegen_declined_total",
             "repro_codegen_calls_total",
@@ -325,34 +323,3 @@ class TestDefaultRegistryIntegration:
             assert f"# TYPE {family} counter" in text
         parse_prometheus(text)  # the full default export stays well-formed
 
-    def test_worker_stats_reads_through_the_registry(self):
-        from repro.exec import scoped_worker_stats, worker_stats
-        from repro.exec.batch import _bump_worker_stats
-
-        with scoped_worker_stats():
-            before = worker_stats()
-            assert before == {
-                "retries": 0,
-                "degraded": 0,
-                "pool_rebuilds": 0,
-                "broken_pools": 0,
-            }
-            _bump_worker_stats(retries=2, degraded=1)
-            after = worker_stats()
-            assert after["retries"] == 2
-            assert after["degraded"] == 1
-            events = default_registry().counter("repro_worker_events_total")
-            assert events.value(kind="retries") == 2
-
-    def test_scoped_worker_stats_restores_outer_values(self):
-        from repro.exec import scoped_worker_stats, worker_stats
-        from repro.exec.batch import _bump_worker_stats
-
-        with scoped_worker_stats():
-            _bump_worker_stats(retries=5)
-            outer = worker_stats()
-            with scoped_worker_stats():
-                assert worker_stats()["retries"] == 0  # zeroed on entry
-                _bump_worker_stats(retries=99)
-            # Inner activity is discarded, outer view restored exactly.
-            assert worker_stats() == outer

@@ -259,6 +259,25 @@ class TestOneRecordPerUserCall:
         assert records[0]["op"] == "exec.batch"
         assert records[0]["rows"] == len(results) == 3
 
+    @pytest.mark.parametrize("method", ["nrc-interp", "direct"])
+    def test_thread_pool_batch_on_the_interpreters_owns_its_record(self, method):
+        # Pool threads sit outside the caller's nesting guard, so the
+        # per-document runs must not enter an observed evaluate() of their own.
+        forests = [
+            random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=seed)
+            for seed in range(6)
+        ]
+        prepared = prepare_query(QUERY, NATURAL, {"S": forests[0]})
+        evaluator = BatchEvaluator(prepared, var="S")
+        with qlog.recording(True):
+            qlog.clear_records()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = evaluator.evaluate_many(forests, method=method, executor=pool)
+            records = qlog.recent_records()
+        assert [entry["op"] for entry in records] == ["exec.batch"]
+        assert records[0]["method"] == method
+        assert records[0]["rows"] == len(results) == 6
+
     def test_ivm_apply_owns_its_record(self):
         from repro.ivm import Delta
         from repro.uxml import TreeBuilder

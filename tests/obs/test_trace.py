@@ -1,19 +1,10 @@
-"""Span tracing: arming, nesting, exports, cross-process reassembly."""
+"""Span tracing: arming, nesting, sampling, exports."""
 
 from __future__ import annotations
 
 import json
-import os
 
-from repro.obs.trace import (
-    Tracer,
-    export_chrome,
-    export_jsonl,
-    is_active,
-    span,
-    tracing,
-    worker_trace,
-)
+from repro.obs.trace import export_chrome, export_jsonl, is_active, span, tracing
 from repro.obs import trace as trace_module
 
 
@@ -25,9 +16,6 @@ class TestDisarmed:
         assert first is second  # one shared null span, no allocation
         with first as live:
             live.annotate(ignored=True)  # all no-ops
-
-    def test_trace_payload_is_none(self):
-        assert trace_module.trace_payload() is None
 
 
 class TestArmed:
@@ -86,12 +74,6 @@ class TestSampling:
             assert span("dropped") is trace_module._NULL
         assert tracer.spans == []
         assert not tracer.sampled and not tracer.promoted
-
-    def test_sampled_out_scope_ships_no_worker_payload(self):
-        with tracing(sample_rate=0.0):
-            assert trace_module.trace_payload() is None
-        with tracing(sample_rate=1.0):
-            assert trace_module.trace_payload() is not None
 
     def test_invalid_sample_rate_is_rejected(self):
         import pytest
@@ -177,52 +159,3 @@ class TestExport:
             assert event["dur"] >= 0
             assert "trace_id" in event["args"]
 
-
-class TestCrossProcess:
-    def test_worker_payload_reassembles_by_trace_id(self):
-        tracer = Tracer()
-        payload = tracer.payload()
-        # Simulate the worker side: arm from the payload, produce spans,
-        # flush them to the sidecar in one append on exit.
-        with worker_trace(payload):
-            with span("exec.worker.task", var="S"):
-                pass
-        tracer.collect()
-        assert [s.name for s in tracer.spans] == ["exec.worker.task"]
-        worker_span = tracer.spans[0]
-        assert worker_span.trace_id == tracer.trace_id
-        assert worker_span.attrs == {"var": "S"}
-        # The sidecar is consumed.
-        assert tracer._sidecar is None
-
-    def test_worker_trace_with_none_payload_is_inert(self):
-        with worker_trace(None):
-            assert not is_active()
-
-    def test_process_pool_spans_cross_the_boundary(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.exec import BatchEvaluator
-        from repro.semirings import NATURAL
-        from repro.uxquery import prepare_query
-        from repro.workloads import random_forest
-
-        documents = [
-            random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=70 + i)
-            for i in range(3)
-        ]
-        prepared = prepare_query("($S)/*", NATURAL, {"S": documents[0]})
-        evaluator = BatchEvaluator(prepared)
-        expected = evaluator.evaluate_many(documents)
-        with tracing() as tracer:
-            with ProcessPoolExecutor(max_workers=2) as executor:
-                results = evaluator.evaluate_many(documents, executor=executor)
-        assert results == expected
-        worker_spans = [s for s in tracer.spans if s.name == "exec.worker.task"]
-        assert len(worker_spans) == len(documents)
-        assert {s.trace_id for s in worker_spans} == {tracer.trace_id}
-        assert any(s.pid != os.getpid() for s in worker_spans)
-        fan_out = [s for s in tracer.spans if s.name == "exec.batch.fan_out"]
-        assert fan_out and fan_out[0].attrs["pool"] == "process"
-        # Worker spans hang off the fan-out span that shipped the payload.
-        assert {s.parent_id for s in worker_spans} == {fan_out[0].span_id}

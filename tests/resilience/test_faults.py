@@ -87,7 +87,6 @@ class TestRegistry:
             "store.ingest.apply",
             "store.update.apply",
             "store.view.apply",
-            "exec.worker.task",
         ):
             assert site in SITE_CATALOG, site
 
@@ -140,15 +139,6 @@ class TestTriggers:
         first, second = pattern(), pattern()
         assert first == second
         assert any(first) and not all(first)  # p=0.5 over 20 draws
-
-    def test_flag_file_fires_exactly_once(self, tmp_path):
-        flag = tmp_path / "fired"
-        with fail_at(SITE, flag=str(flag), times=0) as point:
-            with pytest.raises(FaultInjected):
-                fail_point(SITE)
-            fail_point(SITE)  # flag exists: every later hit passes
-        assert point.fired == 1
-        assert flag.read_text() == str(os.getpid())
 
 
 class TestActions:
@@ -252,7 +242,7 @@ class TestCorruptAction:
 class TestEnvInheritance:
     def test_env_spec_round_trip(self):
         arm(SITE, hits=2, times=0)
-        arm("exec.worker.task", action="exit", flag="/tmp/f")
+        arm("store.view.apply", action="delay", delay_s=0.5)
         arm("wal.truncate", action="crash", probability=0.25, seed=7)
         spec = env_spec()
         disarm_all()
@@ -260,8 +250,8 @@ class TestEnvInheritance:
         rearmed = armed_sites()
         assert rearmed[SITE].hits == 2
         assert rearmed[SITE].times == 0
-        assert rearmed["exec.worker.task"].action == "exit"
-        assert rearmed["exec.worker.task"].flag == "/tmp/f"
+        assert rearmed["store.view.apply"].action == "delay"
+        assert rearmed["store.view.apply"].delay_s == 0.5
         assert rearmed["wal.truncate"].probability == 0.25
         assert rearmed["wal.truncate"].seed == 7
 
