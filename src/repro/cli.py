@@ -1385,7 +1385,7 @@ def _command_store(args: argparse.Namespace) -> int:
         stored = store.ingest(args.doc, document, replace=args.replace)
         print(
             f"ingested {args.doc!r}: {len(stored.columns)} edge rows, "
-            f"{len(stored.index.label_to_nids)} distinct labels"
+            f"{len(stored.index.label_counts())} distinct labels"
         )
         return 0
     store = _open_store(args.dir, durability=getattr(args, "durability", "none"))

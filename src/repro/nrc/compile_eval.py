@@ -79,6 +79,11 @@ _UNBOUND = object()
 #: Cap on a persistent (cross-evaluation) srt memo table before it is reset.
 _SRT_MEMO_LIMIT = 65536
 
+#: Applications in the first generation of a persistent srt memo; a later one
+#: lasts at least twice as many applications as the last one kept entries
+#: (see ``_compile_srt``).
+_SRT_MEMO_GENERATION = 256
+
 Runner = Callable[[list], Any]
 
 
@@ -126,9 +131,16 @@ class CompiledExpr:
         return f"<CompiledExpr over {self.semiring.name}: {str(self.expr)[:60]}>"
 
 
-def compile_expr(expr: Expr, semiring: Semiring) -> CompiledExpr:
-    """Compile ``expr`` over ``semiring`` into a reusable :class:`CompiledExpr`."""
-    compiler = _Compiler(semiring)
+def compile_expr(
+    expr: Expr, semiring: Semiring, *, srt_memo_limit: int = _SRT_MEMO_LIMIT
+) -> CompiledExpr:
+    """Compile ``expr`` over ``semiring`` into a reusable :class:`CompiledExpr`.
+
+    ``srt_memo_limit`` caps each persistent ``srt`` memo (entries kept
+    across calls); programs that mostly see new trees on every call, such
+    as IVM delta plans over one-off deltas, pass a small one.
+    """
+    compiler = _Compiler(semiring, srt_memo_limit)
     run = compiler.compile(expr)
     return CompiledExpr(expr, semiring, run, compiler.free_slots, compiler.num_slots)
 
@@ -141,8 +153,9 @@ def evaluate_compiled(expr: Expr, semiring: Semiring, env: Mapping[str, Any] | N
 class _Compiler:
     """Single-pass AST-to-closure translator with slot-based scoping."""
 
-    def __init__(self, semiring: Semiring):
+    def __init__(self, semiring: Semiring, srt_memo_limit: int = _SRT_MEMO_LIMIT):
         self.semiring = semiring
+        self.srt_memo_limit = srt_memo_limit
         self.num_slots = 0
         #: name -> stack of slot indices; the top entry is the innermost binder.
         self._scope: dict[str, list[int]] = {}
@@ -441,22 +454,46 @@ class _Compiler:
         # over the same (or an overlapping) document reuses earlier results.
         # An open body still gets a per-application memo, which keeps
         # recursion over shared/repeated subtrees linear.
+        #
+        # The persistent memo lives in generations: results found in the
+        # previous generation move to the current one when looked up, and a
+        # new generation drops the previous one with whatever it still
+        # holds.  A generation lasts at least twice as many applications as
+        # the last one kept entries, so a document queried again keeps its
+        # members' results, while results for trees no query reaches any
+        # more (members deleted from a churning document) go.
         closed = not (free_variables(expr.body) - {expr.label_var, expr.acc_var})
-        persistent: dict[UTree, Any] | None = {} if closed else None
+        limit = self.srt_memo_limit
+        current: dict[UTree, Any] = {}
+        previous: dict[UTree, Any] = {}
+        applications = 0
+        generation = _SRT_MEMO_GENERATION
 
         def run(frame: list) -> Any:
+            nonlocal current, previous, applications, generation
             tree = _expect_tree(target(frame), "structural recursion")
-            if persistent is None:
+            if not closed:
                 memo: dict[UTree, Any] = {}
+                older: dict[UTree, Any] | None = None
             else:
-                if len(persistent) > _SRT_MEMO_LIMIT:
-                    persistent.clear()
-                memo = persistent
+                applications += 1
+                if len(current) + len(previous) > limit:
+                    current, previous = {}, {}
+                elif applications > generation:
+                    generation = max(_SRT_MEMO_GENERATION, 2 * len(current))
+                    current, previous = {}, current
+                    applications = 0
+                memo, older = current, previous
 
             def recur(node: UTree) -> Any:
                 cached = memo.get(node)
                 if cached is not None:
                     return cached
+                if older:
+                    cached = older.get(node)
+                    if cached is not None:
+                        memo[node] = cached
+                        return cached
                 _check_limits()  # per-node deadline check along the recursion
                 accumulator = node.children.map(recur)
                 frame[label_slot] = node.label

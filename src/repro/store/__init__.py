@@ -10,10 +10,12 @@ Six cooperating pieces
 * :mod:`repro.store.columns` — :class:`ShreddedColumns`, one document as the
   four parallel arrays ``pid``/``nid``/``label``/annotation in deterministic
   shredding order, plus the pickle codec used by the durable formats.
-* :mod:`repro.store.index` — :class:`StructuralIndex`: label index, child
-  index and the pre/post-order interval index that turns descendant steps
-  into interval containment; exact annotated navigation via multiplicity
-  counting over precomputed root-to-node prefix products.
+* :mod:`repro.store.index` — :class:`StructuralIndex`: one immutable block
+  per top-level member, each with its label index and the pre/post-order
+  interval index that turns descendant steps into interval containment;
+  exact annotated navigation via multiplicity counting over precomputed
+  root-to-node prefix products.  An update replaces only the blocks of the
+  members it touches.
 * :mod:`repro.store.pushdown` — :func:`split_navigation` /
   :class:`PushdownExecutor`: statically recognize the step-chain prefix of a
   prepared plan, serve it from the indexes, and evaluate only the residual

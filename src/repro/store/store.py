@@ -1,13 +1,16 @@
 """The :class:`DocumentStore` facade: ingest, update, query, compact.
 
-One store holds many documents, each kept in shredded columnar form
-(:mod:`repro.store.columns`) behind its structural indexes
-(:mod:`repro.store.index`).  Queries are compiled through a per-store
+One store holds many documents, each kept as one immutable index block per
+top-level member (:mod:`repro.store.index`), from which its shredded
+columnar form (:mod:`repro.store.columns`) is assembled when a snapshot or
+``fsck`` needs it.  Queries are compiled through a per-store
 :class:`~repro.exec.plan_cache.PlanCache` and served by the navigation
 pushdown (:mod:`repro.store.pushdown`), exactly equal to single-shot
 evaluation; updates are :class:`~repro.ivm.delta.Delta` values applied
 through the IVM machinery, maintaining every registered
-:class:`~repro.ivm.view.MaterializedView` as they land.
+:class:`~repro.ivm.view.MaterializedView` as they land.  A delta changes
+whole members, so an update replaces only the blocks of the members it
+touches: its cost follows the change, not the document.
 
 Durability (optional — pass ``directory=``): every state change is appended
 to the JSONL write-ahead log *before* it is applied, and
@@ -43,6 +46,7 @@ from repro.kcollections.kset import KSet
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
 from repro.obs.qlog import observe
+from repro.obs.trace import span
 from repro.resilience.faults import fail_point
 from repro.resilience.limits import EvalLimits
 from repro.semirings.base import Semiring
@@ -123,14 +127,18 @@ _OPERATION_KINDS = (
 
 
 class StoredDocument:
-    """One ingested document: its columns and the indexes built over them."""
+    """One stored document: the current version of its per-member index."""
 
-    __slots__ = ("doc_id", "columns", "index")
+    __slots__ = ("doc_id", "index")
 
-    def __init__(self, doc_id: str, columns: ShreddedColumns):
+    def __init__(self, doc_id: str, index: StructuralIndex):
         self.doc_id = doc_id
-        self.columns = columns
-        self.index = StructuralIndex(columns)
+        self.index = index
+
+    @property
+    def columns(self) -> ShreddedColumns:
+        """The document's shredded rows (assembled from the index blocks)."""
+        return self.index.columns
 
     def forest(self) -> KSet:
         """The document as a K-set of trees (cached on the index)."""
@@ -345,7 +353,7 @@ class DocumentStore:
         return stored
 
     def _apply_ingest(self, doc_id: str, columns: ShreddedColumns) -> StoredDocument:
-        stored = StoredDocument(doc_id, columns)
+        stored = StoredDocument(doc_id, StructuralIndex(columns))
         replacing = doc_id in self._documents
         self._documents[doc_id] = stored
         if replacing:
@@ -361,8 +369,9 @@ class DocumentStore:
     def update(self, doc_id: str, delta: Delta) -> KSet:
         """Apply a delta to a stored document; returns the updated forest.
 
-        The delta is journaled, the document is re-shredded into fresh
-        columns and indexes, and every registered view over the document is
+        The delta is journaled, the index blocks of the members it touches
+        are replaced (every other member's block, navigation memo included,
+        carries over), and every registered view over the document is
         maintained through its compiled delta plan (recompute fallback per
         the IVM contract).
         """
@@ -390,9 +399,9 @@ class DocumentStore:
         stored = self._documents[doc_id]
         if new_forest is None:
             new_forest = delta.apply_to(stored.forest())
-        self._documents[doc_id] = StoredDocument(
-            doc_id, ShreddedColumns.from_forest(new_forest)
-        )
+        with span("store.index.build", doc=doc_id, members=len(delta)):
+            index = stored.index.updated(delta.trees(), new_forest)
+        self._documents[doc_id] = StoredDocument(doc_id, index)
         for name, record in self._view_records.items():
             if record["doc"] == doc_id:
                 self._views[name].apply(delta)

@@ -71,26 +71,29 @@ class TestIndexStructure:
     def test_intervals_cover_subtrees(self):
         forest = random_forest(NATURAL, num_trees=2, depth=4, fanout=2, seed=6)
         index = StructuralIndex(ShreddedColumns.from_forest(forest))
-        for nid in index.all_nids:
-            end = index.subtree_end[nid]
-            descendants = {
-                other
-                for other in index.all_nids
-                if nid < other <= end
-            }
-            # Walk the child lists to get the reference descendant set.
-            frontier = list(index.children_of.get(nid, ()))
-            reference = set()
-            while frontier:
-                node = frontier.pop()
-                reference.add(node)
-                frontier.extend(index.children_of.get(node, ()))
-            assert descendants == reference
+        assert len(index.blocks) == len(forest)
+        for block in index.blocks:
+            nodes = range(len(block))
+            # Child lists from the parent links, independent of the intervals.
+            children_of: dict[int, list[int]] = {}
+            for node in nodes:
+                children_of.setdefault(block.parents[node], []).append(node)
+            for node in nodes:
+                end = block.ends[node]
+                descendants = {other for other in nodes if node < other <= end}
+                # Walk the child lists to get the reference descendant set.
+                frontier = list(children_of.get(node, ()))
+                reference = set()
+                while frontier:
+                    child = frontier.pop()
+                    reference.add(child)
+                    frontier.extend(children_of.get(child, ()))
+                assert descendants == reference
 
     def test_label_index_counts(self):
         forest = figure4_source()
         index = StructuralIndex(ShreddedColumns.from_forest(forest))
-        total = sum(index.count_label(label) for label in index.label_to_nids)
+        total = sum(index.count_label(label) for label in index.label_counts())
         assert total == index.node_count() == len(index.columns)
 
     def test_out_of_order_columns_rejected(self):
@@ -116,6 +119,19 @@ class TestIndexStructure:
         columns = ShreddedColumns(NATURAL, (0,), ("one",), ("a",), (1,))
         with pytest.raises(StoreError, match="must be integers"):
             StructuralIndex(columns)
+
+    def test_navigation_memo_is_lru(self):
+        """A full memo evicts its least recently used chain, so a chain first
+        seen after NAV_CACHE_SIZE others is still memoized."""
+        forest = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=8)
+        index = StructuralIndex(ShreddedColumns.from_forest(forest))
+        for number in range(StructuralIndex.NAV_CACHE_SIZE):
+            index.navigate((Step("descendant", f"label{number}"),))
+        late = (Step("descendant", "c"),)
+        index.navigate(late)
+        hits = index.nav_hits
+        assert index.navigate(late) == _direct(forest, late)
+        assert index.nav_hits == hits + 1
 
     def test_fuse_double_slash(self):
         fused = _fuse_steps([Step("descendant-or-self", "*"), Step("child", "c")])
