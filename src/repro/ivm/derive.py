@@ -92,11 +92,6 @@ NON_INCREMENTAL = "non-incremental"
 
 CLASSIFICATIONS = (LINEAR, BILINEAR, NON_INCREMENTAL)
 
-#: Cap on the srt memo a delta plan keeps across calls.  Deltas are mostly
-#: new trees, so a larger memo would only hold the trees of past deltas; a
-#: small one still serves a tree that is applied again.
-DELTA_SRT_MEMO_LIMIT = 256
-
 
 class _NonIncremental(Exception):
     """Internal: raised where the derivative rules give up."""
@@ -236,9 +231,7 @@ class DeltaPlan:
             return
         delta_expr, self.classification, self.delta_var, self.old_var, self.new_var = derivation
         self.delta_expr = simplify(delta_expr, self.semiring)
-        self.compiled = compile_expr(
-            self.delta_expr, self.semiring, srt_memo_limit=DELTA_SRT_MEMO_LIMIT
-        )
+        self.compiled = compile_expr(self.delta_expr, self.semiring)
         # Same two-stage compilation as query plans: generated bytecode when
         # the delta expression is straight-line, closures as fallback (both
         # for declined generation and for runtime foreign collections).
@@ -263,9 +256,7 @@ class DeltaPlan:
         if program is None:
             diff = diff_of(self.semiring)
             program, _, _ = compile_program(
-                self.delta_expr,
-                diff,
-                compile_expr(self.delta_expr, diff, srt_memo_limit=DELTA_SRT_MEMO_LIMIT),
+                self.delta_expr, diff, compile_expr(self.delta_expr, diff)
             )
             self._diff_program = program
         return program

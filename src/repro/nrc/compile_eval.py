@@ -79,10 +79,9 @@ _UNBOUND = object()
 #: Cap on a persistent (cross-evaluation) srt memo table before it is reset.
 _SRT_MEMO_LIMIT = 65536
 
-#: Applications in the first generation of a persistent srt memo; a later one
-#: lasts at least twice as many applications as the last one kept entries
-#: (see ``_compile_srt``).
-_SRT_MEMO_GENERATION = 256
+#: Applications in the first generation of a persistent srt memo, and the
+#: least any later one sees (see ``_compile_srt``).
+_SRT_MEMO_GENERATION = 32
 
 Runner = Callable[[list], Any]
 
@@ -131,16 +130,9 @@ class CompiledExpr:
         return f"<CompiledExpr over {self.semiring.name}: {str(self.expr)[:60]}>"
 
 
-def compile_expr(
-    expr: Expr, semiring: Semiring, *, srt_memo_limit: int = _SRT_MEMO_LIMIT
-) -> CompiledExpr:
-    """Compile ``expr`` over ``semiring`` into a reusable :class:`CompiledExpr`.
-
-    ``srt_memo_limit`` caps each persistent ``srt`` memo (entries kept
-    across calls); programs that mostly see new trees on every call, such
-    as IVM delta plans over one-off deltas, pass a small one.
-    """
-    compiler = _Compiler(semiring, srt_memo_limit)
+def compile_expr(expr: Expr, semiring: Semiring) -> CompiledExpr:
+    """Compile ``expr`` over ``semiring`` into a reusable :class:`CompiledExpr`."""
+    compiler = _Compiler(semiring)
     run = compiler.compile(expr)
     return CompiledExpr(expr, semiring, run, compiler.free_slots, compiler.num_slots)
 
@@ -153,9 +145,8 @@ def evaluate_compiled(expr: Expr, semiring: Semiring, env: Mapping[str, Any] | N
 class _Compiler:
     """Single-pass AST-to-closure translator with slot-based scoping."""
 
-    def __init__(self, semiring: Semiring, srt_memo_limit: int = _SRT_MEMO_LIMIT):
+    def __init__(self, semiring: Semiring):
         self.semiring = semiring
-        self.srt_memo_limit = srt_memo_limit
         self.num_slots = 0
         #: name -> stack of slot indices; the top entry is the innermost binder.
         self._scope: dict[str, list[int]] = {}
@@ -455,37 +446,43 @@ class _Compiler:
         # An open body still gets a per-application memo, which keeps
         # recursion over shared/repeated subtrees linear.
         #
-        # The persistent memo lives in generations: results found in the
-        # previous generation move to the current one when looked up, and a
-        # new generation drops the previous one with whatever it still
-        # holds.  A generation lasts at least twice as many applications as
-        # the last one kept entries, so a document queried again keeps its
-        # members' results, while results for trees no query reaches any
-        # more (members deleted from a churning document) go.
+        # The persistent memo lives in generations: a result found in the
+        # previous generation moves to the current one, and a new generation
+        # drops the previous one with whatever it still holds.  Generations
+        # turn over only between evaluations, once one has seen at least
+        # twice as many applications as the one before it reused results
+        # from its predecessor (and at least ``_SRT_MEMO_GENERATION``).  A
+        # document queried again therefore keeps its members' results,
+        # results for trees no query reaches any more (members deleted from
+        # a churning document) go within a few evaluations, and a plan that
+        # sees new trees on every call (an IVM delta plan) keeps only its
+        # last few dozen.
         closed = not (free_variables(expr.body) - {expr.label_var, expr.acc_var})
-        limit = self.srt_memo_limit
+        started_slot = self._allocate()  # unbound until the evaluation's first application
         current: dict[UTree, Any] = {}
         previous: dict[UTree, Any] = {}
-        applications = 0
+        applications = reused = 0
         generation = _SRT_MEMO_GENERATION
 
         def run(frame: list) -> Any:
-            nonlocal current, previous, applications, generation
+            nonlocal current, previous, applications, reused, generation
             tree = _expect_tree(target(frame), "structural recursion")
             if not closed:
                 memo: dict[UTree, Any] = {}
                 older: dict[UTree, Any] | None = None
             else:
-                applications += 1
-                if len(current) + len(previous) > limit:
+                if len(current) + len(previous) > _SRT_MEMO_LIMIT:
                     current, previous = {}, {}
-                elif applications > generation:
-                    generation = max(_SRT_MEMO_GENERATION, 2 * len(current))
+                elif frame[started_slot] is _UNBOUND and applications > generation:
+                    generation = max(_SRT_MEMO_GENERATION, 2 * reused)
                     current, previous = {}, current
-                    applications = 0
+                    applications = reused = 0
+                frame[started_slot] = True
+                applications += 1
                 memo, older = current, previous
 
             def recur(node: UTree) -> Any:
+                nonlocal reused
                 cached = memo.get(node)
                 if cached is not None:
                     return cached
@@ -493,6 +490,7 @@ class _Compiler:
                     cached = older.get(node)
                     if cached is not None:
                         memo[node] = cached
+                        reused += 1
                         return cached
                 _check_limits()  # per-node deadline check along the recursion
                 accumulator = node.children.map(recur)

@@ -25,8 +25,13 @@ since data is a tree, every contribution via a frontier node ``a`` to a node
 ``d`` below it equals ``prefix[d]``, so a navigation frontier never needs
 semiring arithmetic at all: it is a map ``id -> natural-number multiplicity``
 (how many witnessing frontier ancestors contribute), and the final
-annotation of ``d`` is ``from_int(count) * prefix[d]``.  Paths never leave
-their member, so a document's result is the sum of its blocks' results.
+annotation of ``d`` is ``from_int(count) * prefix[d]``.  Until a descendant
+step starts from nodes nested in one another every count is 1, so the
+frontier is a plain list of ids and ``d`` gets ``prefix[d]`` itself; and a
+block records whether any prefix product is zero (zero divisors, e.g. in a
+lattice), so results from the usual zero-free block need no zero test.
+Paths never leave their member, so a document's result is the sum of its
+blocks' results.
 Equality with the direct, NRC and Datalog semantics is asserted by
 ``tests/store`` for every registry semiring.
 
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
@@ -79,17 +83,20 @@ class _Block:
     updates to the other members.
     """
 
-    __slots__ = ("labels", "parents", "annots", "prefix", "ends", "by_label", "trees", "memo")
+    __slots__ = (
+        "labels", "parents", "annots", "prefix", "zero_free", "ends", "by_label", "trees", "memo"
+    )
 
-    def __init__(self, labels, parents, annots, prefix, ends, by_label, trees):
-        self.labels: List[str] = labels
-        self.parents: List[int] = parents  # -1 for the root
-        self.annots: List[Any] = annots
-        self.prefix: List[Any] = prefix
-        self.ends: List[int] = ends
-        self.by_label: Dict[str, List[int]] = by_label
-        self.trees: List[UTree] = trees
-        self.memo: Dict[str, tuple] = {}
+    def __init__(self, labels, parents, annots, prefix, zero_free, ends, by_label, trees):
+        self.labels: Tuple[str, ...] = labels
+        self.parents: Tuple[int, ...] = parents  # -1 for the root
+        self.annots: Tuple[Any, ...] = annots
+        self.prefix: Tuple[Any, ...] = prefix
+        self.zero_free: bool = zero_free  # no prefix product is zero
+        self.ends: Tuple[int, ...] = ends
+        self.by_label: Dict[str, Tuple[int, ...]] = by_label
+        self.trees: Tuple[UTree, ...] = trees
+        self.memo: Dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -108,71 +115,110 @@ class _Block:
         for node in range(1, len(annots)):
             product = mul(prefix[self.parents[node]], annots[node])
             prefix.append(normalize(product) if normalize else product)
+        zero_free = not any(map(semiring.is_zero, prefix))
         return _Block(
-            self.labels, self.parents, annots, prefix, self.ends, self.by_label, self.trees
+            self.labels,
+            self.parents,
+            tuple(annots),
+            tuple(prefix),
+            zero_free,
+            self.ends,
+            self.by_label,
+            self.trees,
         )
 
     # ------------------------------------------------------------- navigation
-    def navigate(self, steps: Sequence[Step], semiring: Semiring) -> tuple:
-        """The block's share of a fused chain, as ``(subtree, annotation)`` pairs."""
+    def collect(self, steps: Sequence[Step], semiring: Semiring, out: list) -> None:
+        """Append the block's share of a fused chain to ``out``, as
+        ``(subtree, annotation)`` pairs, in one pass over the steps."""
         labels = self.labels
         ends = self.ends
-        frontier: Dict[int, int] = {0: 1}
+        # The frontier is a list of nodes each reached along one path until a
+        # step can reach a node along several; from then on it is a dict from
+        # node to its path count.
+        frontier: Sequence[int] | Dict[int, int] = (0,)
+        nested = False  # whether a frontier node may lie below another one
         for step in steps:
             axis, nodetest = step.axis, step.nodetest
-            result: Dict[int, int] = {}
+            counted = isinstance(frontier, dict)
             if axis == "self":
-                for node, count in frontier.items():
+                kept = []
+                for node in frontier:
                     if nodetest == WILDCARD or labels[node] == nodetest:
-                        result[node] = count
+                        kept.append(node)
+                frontier = {node: frontier[node] for node in kept} if counted else kept
             elif axis == "child":
                 candidates = None if nodetest == WILDCARD else self.by_label.get(nodetest, ())
+                children = []
                 if candidates is not None and len(candidates) <= 2 * len(frontier):
-                    # Few nodes carry the label: keep those whose parent is
-                    # in the frontier (every node has one parent).
+                    # Few nodes carry the label: keep those whose parent is in
+                    # the frontier.
                     parents = self.parents
+                    within = frontier if counted else set(frontier)
                     for child in candidates:
-                        count = frontier.get(parents[child])
-                        if count is not None:
-                            result[child] = count
+                        if parents[child] in within:
+                            children.append(child)
                 else:
                     # Pre-order ids: the first child is node + 1, each next
                     # child starts right after the previous child's interval.
-                    for node, count in frontier.items():
+                    for node in frontier:
                         child, end = node + 1, ends[node]
                         while child <= end:
                             if nodetest == WILDCARD or labels[child] == nodetest:
-                                result[child] = count
+                                children.append(child)
                             child = ends[child] + 1
+                if counted:  # every node has one parent, whose count it takes
+                    parents = self.parents
+                    children = {child: frontier[parents[child]] for child in children}
+                frontier = children
             else:  # descendant / descendant-or-self (axes checked by the index)
-                include_self = axis == "descendant-or-self"
                 candidates = (
                     range(len(labels)) if nodetest == WILDCARD else self.by_label.get(nodetest, ())
                 )
-                for node, count in frontier.items():
-                    if include_self and (nodetest == WILDCARD or labels[node] == nodetest):
-                        result[node] = result.get(node, 0) + count
-                    # Interval containment: descendants of node are (node, end].
-                    start = bisect_right(candidates, node)
-                    stop = bisect_right(candidates, ends[node], lo=start)
-                    for matched in candidates[start:stop]:
-                        result[matched] = result.get(matched, 0) + count
-            if not result:
-                return ()
-            frontier = result
+                # Interval containment: the descendants of node are the ids in
+                # (node, end]; descendant-or-self also takes node itself.
+                first = bisect_left if axis == "descendant-or-self" else bisect_right
+                if not nested:
+                    # Disjoint subtrees: each match has one frontier ancestor.
+                    matched: list = []
+                    for node in frontier:
+                        start = first(candidates, node)
+                        stop = bisect_right(candidates, ends[node], lo=start)
+                        matched.extend(candidates[start:stop])
+                    frontier = matched
+                    nested = True
+                else:
+                    counts = frontier if counted else dict.fromkeys(frontier, 1)
+                    result: Dict[int, int] = {}
+                    for node, count in counts.items():
+                        start = first(candidates, node)
+                        stop = bisect_right(candidates, ends[node], lo=start)
+                        for match in candidates[start:stop]:
+                            result[match] = result.get(match, 0) + count
+                    frontier = result
+            if not frontier:
+                return
         trees = self.trees
         prefix = self.prefix
-        pairs = []
-        for node, count in frontier.items():
-            annotation = prefix[node]
-            if count != 1:
-                annotation = semiring.normalize(
-                    semiring.mul(semiring.normalize(semiring.from_int(count)), annotation)
-                )
-            if semiring.is_zero(annotation):
-                continue  # annihilated path products drop out, as in unshred
-            pairs.append((trees[node], annotation))
-        return tuple(pairs)
+        # Annihilated path products drop out, as in unshred.
+        is_zero = None if self.zero_free else semiring.is_zero
+        if isinstance(frontier, dict):
+            for node, count in frontier.items():
+                annotation = prefix[node]
+                if count != 1:
+                    annotation = semiring.normalize(
+                        semiring.mul(semiring.normalize(semiring.from_int(count)), annotation)
+                    )
+                    if semiring.is_zero(annotation):
+                        continue
+                elif is_zero and is_zero(annotation):
+                    continue
+                out.append((trees[node], annotation))
+        else:
+            for node in frontier:
+                annotation = prefix[node]
+                if not (is_zero and is_zero(annotation)):
+                    out.append((trees[node], annotation))
 
 
 def _build_blocks(
@@ -268,7 +314,20 @@ def _finish_block(semiring, labels, parents, annots, prefix, by_label, intern) -
             sizes[parent] += sizes[node]
             if ends[node] > ends[parent]:
                 ends[parent] = ends[node]
-    return _Block(labels, parents, annots, prefix, ends, by_label, trees)
+    zero_free = not any(map(semiring.is_zero, prefix))
+    # Tuples, not lists: the garbage collector stops tracking a tuple of
+    # atomic values (ids, labels, most annotations), so a document's blocks
+    # add little to the cost of each full collection.
+    return _Block(
+        tuple(labels),
+        tuple(parents),
+        tuple(annots),
+        tuple(prefix),
+        zero_free,
+        tuple(ends),
+        {label: tuple(nodes) for label, nodes in by_label.items()},
+        tuple(trees),
+    )
 
 
 def _fuse_steps(steps: Sequence[Step]) -> list[Step]:
@@ -332,7 +391,7 @@ class StructuralIndex:
         semiring: Semiring,
         blocks: List[_Block],
         intern: Dict[UTree, UTree],
-        chains: "OrderedDict[str, None]",
+        chains: "OrderedDict[tuple, None]",
         columns: ShreddedColumns | None = None,
         forest: KSet | None = None,
         members: Dict[UTree, _Block] | None = None,
@@ -492,18 +551,20 @@ class StructuralIndex:
                     f"indexes; supported: {SUPPORTED_AXES}"
                 )
         semiring = self.semiring
+        pairs: list = []
         if use_cache:
             chain_key = self._admit_chain(fused)
-            parts = []
             for block in self.blocks:
                 part = block.memo.get(chain_key)
                 if part is None:
-                    part = block.memo[chain_key] = block.navigate(fused, semiring)
-                if part:
-                    parts.append(part)
+                    start = len(pairs)
+                    block.collect(fused, semiring, pairs)
+                    block.memo[chain_key] = tuple(pairs[start:])
+                else:
+                    pairs.extend(part)
         else:
-            parts = [block.navigate(fused, semiring) for block in self.blocks]
-        pairs = chain.from_iterable(parts)
+            for block in self.blocks:
+                block.collect(fused, semiring, pairs)
         if semiring.ops_preserve_normal_form:
             result = KSet._accumulate_normalized(semiring, pairs)
         else:
@@ -514,14 +575,16 @@ class StructuralIndex:
                 cache.popitem(last=False)
         return result
 
-    def _admit_chain(self, fused: Sequence[Step]) -> str:
+    def _admit_chain(self, fused: Sequence[Step]) -> Tuple[Tuple[str, str], ...]:
         """The chain's block-memo key, marked most recently used.
 
-        The chain LRU is shared by every version of the document; evicting a
-        chain drops it from every live block's memo, so no block keeps more
-        than ``NAV_CACHE_SIZE`` results.
+        The key is the chain's ``(axis, nodetest)`` pairs: a node test may be
+        any quoted string, ``/`` included, so no text rendering of the chain
+        is unambiguous.  The chain LRU is shared by every version of the
+        document; evicting a chain drops it from every live block's memo, so
+        no block keeps more than ``NAV_CACHE_SIZE`` results.
         """
-        chain_key = "/".join(map(str, fused))
+        chain_key = tuple((step.axis, step.nodetest) for step in fused)
         chains = self._chains
         if chain_key in chains:
             chains.move_to_end(chain_key)

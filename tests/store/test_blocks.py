@@ -20,6 +20,7 @@ import pytest
 from test_columns_index import CHAINS
 
 from repro.ivm import Delta
+from repro.kcollections.kset import KSet
 from repro.semirings import NATURAL
 from repro.semirings.diff import DiffPair
 from repro.semirings.registry import standard_semirings
@@ -27,6 +28,7 @@ from repro.store import DocumentStore, ShreddedColumns, StructuralIndex
 from repro.store.index import _Block
 from repro.uxml.tree import UTree
 from repro.uxquery.ast import Step
+from repro.uxquery.parser import parse_query
 from repro.workloads import random_forest, random_tree
 
 STEPS = 24
@@ -142,6 +144,36 @@ class TestBlocksEqualFreshBuild:
         fresh = StructuralIndex(ShreddedColumns.from_forest(store.forest("doc")))
         assert after.navigate(chain) == fresh.navigate(chain)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("$S/a/b", "$S/'a/child::b'"), ("$S//x/y", "$S//'x/child::y'")],
+    )
+    def test_chains_that_render_alike_do_not_share_block_memos(self, first, second):
+        """A quoted node test may contain ``/``, so ``$S/'a/child::b'`` (one
+        step) and ``$S/a/b`` (two) print alike; each must get its own
+        answer, not the one the other left in the block memos."""
+
+        def tree(label, *children):
+            return UTree(label, KSet(NATURAL, [(child, 1) for child in children]))
+
+        forest = KSet(
+            NATURAL,
+            [
+                (tree("r", tree("a", tree("b")), tree("x", tree("y"))), 1),
+                (tree("r", tree("a/child::b"), tree("x/child::y")), 2),
+            ],
+        )
+        store = DocumentStore(NATURAL)
+        store.ingest("doc", forest)
+        fresh = StructuralIndex(ShreddedColumns.from_forest(forest))
+        for query in (first, second, first):
+            chain = parse_query(query).steps
+            expected = fresh.navigate(chain, use_cache=False)
+            assert expected, query
+            assert store.query(query) == expected, query
+            assert store.document("doc").index.navigate(chain) == expected, query
+        assert store.query(first) != store.query(second)
+
 
 class TestMemoryUnderChurn:
     def test_intern_table_and_memos_stay_bounded(self):
@@ -177,8 +209,8 @@ class TestMemoryUnderChurn:
         gc.collect()
         assert _blocks_alive() - elsewhere == len(store.document("doc").index.blocks)
         # The 450 members inserted and deleted after the first sample hold
-        # over 3,000 subtrees; only the view's two delta plans keep some of
-        # them, in memos of capped size.
+        # over 3,000 subtrees; only the srt memos of the view's plans keep
+        # some of them, for a few evaluations.
         assert max(trees_alive) - trees_alive[0] < 2_000, trees_alive
 
 
