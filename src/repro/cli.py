@@ -10,7 +10,7 @@ A small front end so the library can be used without writing Python:
   ``--analyze`` additionally runs the query with per-operator profiling
   and prints wall time and row counts for every operator;
 * ``python -m repro batch`` — run one K-UXQuery over every document in a
-  directory (plan-cached, optionally multi-threaded, optionally merged);
+  directory (plan-cached, optionally merged);
 * ``python -m repro maintain`` — materialize a query over a document, replay
   an update script through the incremental view-maintenance layer and report
   maintain-vs-recompute timings;
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation semantics (nrc-codegen = generated bytecode with "
         "closure fallback, nrc = closures, nrc-interp = Figure 8 interpreter)",
     )
-    batch.add_argument("--jobs", "-j", type=int, default=1, help="worker threads (default: 1 = inline)")
     batch.add_argument(
         "--merge",
         action="store_true",
@@ -190,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="FILE",
-        help="record spans for the whole batch (fan-out included) and "
-        "write them to FILE",
+        help="record spans for the whole batch and write them to FILE",
     )
     batch.add_argument(
         "--trace-format",
@@ -736,8 +734,6 @@ def _command_explain(args: argparse.Namespace) -> int:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.exec import BatchEvaluator, cached_prepare
 
     semiring = get_semiring(args.semiring)
@@ -747,26 +743,17 @@ def _command_batch(args: argparse.Namespace) -> int:
     documents = [_load_document(str(path), semiring, args.annot_attr) for path in paths]
     prepared = cached_prepare(_read_query(args.query), semiring, env={args.var: documents[0]})
     evaluator = BatchEvaluator(prepared, var=args.var)
-    executor = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
     limits = _limits_from_args(args)
     tracer, scope = _trace_scope(args)
-    try:
-        with scope:
-            if args.merge:
-                merged = evaluator.evaluate_merged(
-                    documents, method=args.method, executor=executor, limits=limits
-                )
-                print(_render(merged, args.format))
-            else:
-                results = evaluator.evaluate_many(
-                    documents, method=args.method, executor=executor, limits=limits
-                )
-                for path, result in zip(paths, results):
-                    print(f"== {path.name}")
-                    print(_render(result, args.format))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    with scope:
+        if args.merge:
+            merged = evaluator.evaluate_merged(documents, method=args.method, limits=limits)
+            print(_render(merged, args.format))
+        else:
+            results = evaluator.evaluate_many(documents, method=args.method, limits=limits)
+            for path, result in zip(paths, results):
+                print(f"== {path.name}")
+                print(_render(result, args.format))
     _write_trace(tracer, args)
     if args.stats:
         _print_plan_cache_stats(args.json)

@@ -27,9 +27,11 @@ Which one do I want?
 * **Batch** — one query, *many documents*: amortizes frame setup and shares
   ``srt`` memo tables across the whole batch.
 
-Batches run in the calling process.  A thread pool may be passed as the
-executor (compiled programs are reusable and thread-safe); a process pool is
-refused with :class:`~repro.errors.ExecError`.
+Batches run inline, in the calling thread: evaluation is pure Python under
+the GIL, so a thread or process pool never beat the inline loop.  Batching
+one query over many documents is :class:`~repro.exec.batch.BatchEvaluator`'s
+job alone; ``PreparedQuery.evaluate`` and ``evaluate_query`` take one
+environment.
 """
 
 from repro.errors import ExecError

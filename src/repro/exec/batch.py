@@ -26,12 +26,10 @@ source-generated program, when the plan has one — the default) and
 protocol, so one batch call runs **one generated function** across all
 documents and bumps its execution counter in bulk.
 
-Both accept a thread-pool executor (compiled programs are reusable and
-thread-safe: every evaluation gets a fresh frame).  Batches always run in the
-calling process.  Shipping documents and results through a process pool cost
-more than the evaluation it spread (0.12–0.68x the inline loop on two cores),
-so a process pool is refused with a typed :class:`~repro.errors.ExecError`
-before any document runs.
+Both run inline, in the calling thread, with one guard around the whole
+batch: evaluation is pure Python under the GIL, so fanning documents out
+over a thread pool ran at 0.86–1.02x the inline loop (and a process pool at
+0.12–0.68x) on a two-core host, and neither is offered.
 """
 
 from __future__ import annotations
@@ -45,28 +43,11 @@ from repro.nrc.codegen import CodegenProgram, _ForeignCollection, note_calls
 from repro.nrc.compile_eval import _UNBOUND
 from repro.obs.qlog import observe
 from repro.obs.trace import span
-from repro.resilience.limits import EvalLimits, activate
+from repro.resilience.limits import EvalLimits, LimitGuard, activate
 from repro.uxquery.engine import DEFAULT_METHOD, PreparedQuery, validate_method
 from repro.uxquery.typecheck import FOREST
 
-__all__ = ["BatchEvaluator", "infer_document_var", "refuse_process_pool"]
-
-
-def refuse_process_pool(executor: Any | None) -> None:
-    """Raise :class:`ExecError` when ``executor`` is a process pool.
-
-    ``concurrent.futures`` is imported only when an executor is passed, so
-    an inline batch never loads ``multiprocessing``.
-    """
-    if executor is None:
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    if isinstance(executor, ProcessPoolExecutor):
-        raise ExecError(
-            "process pools are not supported: batches run in the "
-            "calling process; pass a thread pool or no executor"
-        )
+__all__ = ["BatchEvaluator", "infer_document_var"]
 
 
 def infer_document_var(prepared: PreparedQuery) -> str:
@@ -133,49 +114,43 @@ class BatchEvaluator:
         return template, program._free_slots.get(self.var)
 
     @staticmethod
-    def _dispatch_runs(run, documents: list, executor: Any | None, guard) -> list:
-        """Run ``run`` over the documents, under ``guard`` when one is armed.
+    def _dispatch_runs(run, documents: list, guard: LimitGuard | None) -> list:
+        """Run ``run`` over the documents in order, under ``guard`` when armed.
 
-        The guard is stateless and shared: each executing thread activates
-        it on its own thread-local stack, so the deadline and budgets cover
-        the whole batch regardless of fan-out.
+        One activation covers the whole loop, so one deadline bounds the
+        batch; each document's result is charged as it completes.
         """
-        if guard is not None:
-            inner = run
-
-            def run(document: Any) -> Any:
-                with activate(guard):
-                    result = inner(document)
-                    guard.check_result(result)
-                    return result
-
-        with span("exec.batch.fan_out", documents=len(documents),
-                  pool="thread" if executor is not None else "inline"):
-            if executor is not None:
-                return list(executor.map(run, documents))
-            return [run(document) for document in documents]
+        # The span name predates inline-only batches; storebench's layer
+        # table attributes it to exec.batch by this name.
+        with span("exec.batch.fan_out", documents=len(documents)):
+            if guard is None:
+                return [run(document) for document in documents]
+            results = []
+            with activate(guard):
+                for document in documents:
+                    results.append(run(document))
+                    guard.check_result(results[-1])
+            return results
 
     def evaluate_many(
         self,
         documents: Iterable[Any],
         env: Mapping[str, Any] | None = None,
         method: str = DEFAULT_METHOD,
-        executor: Any | None = None,
-        limits: EvalLimits | None = None,
+        limits: EvalLimits | LimitGuard | None = None,
     ) -> list:
         """Evaluate against every document, returning results in order.
 
         ``env`` supplies bindings for every free variable other than the
         document variable (a binding for the document variable itself is
-        ignored — each document takes its place).  ``executor`` may be a
-        thread pool; without one the batch runs inline, and a process pool
-        raises :class:`~repro.errors.ExecError` before any document runs.
-        ``limits=`` guards the whole batch with one shared deadline/budget.
+        ignored — each document takes its place).  ``limits=`` guards the
+        whole batch with one deadline and charges every per-document result
+        against the row and byte budgets; an armed guard shares its deadline.
         """
         # One record per batch call: the per-document runs below never enter
-        # an observed entry point, so pool threads write no records of their own.
+        # an observed entry point.
         with observe("exec.batch", self.prepared) as obs:
-            results = self._evaluate_many(documents, env, method, executor, limits)
+            results = self._evaluate_many(documents, env, method, limits)
             return obs.done(results, method=method)
 
     def _evaluate_many(
@@ -183,11 +158,9 @@ class BatchEvaluator:
         documents: Iterable[Any],
         env: Mapping[str, Any] | None,
         method: str,
-        executor: Any | None,
-        limits: EvalLimits | None,
+        limits: EvalLimits | LimitGuard | None,
     ) -> list:
         validate_method(method)
-        refuse_process_pool(executor)
         documents = list(documents)
         if not documents:
             return []
@@ -204,7 +177,7 @@ class BatchEvaluator:
                 bindings[self.var] = document
                 return dispatch(bindings, method)
 
-            return self._dispatch_runs(run_interp, documents, executor, guard)
+            return self._dispatch_runs(run_interp, documents, guard)
         program = self._program(method)
         template, slot = self._frame_template(program, env)
         run = program._run
@@ -229,35 +202,44 @@ class BatchEvaluator:
             # so serving layers can observe generated-program execution.
             program.calls += len(documents)
             note_calls(len(documents))
-        return self._dispatch_runs(run_one, documents, executor, guard)
+        return self._dispatch_runs(run_one, documents, guard)
 
     def evaluate_merged(
         self,
         documents: Iterable[Any],
         env: Mapping[str, Any] | None = None,
         method: str = DEFAULT_METHOD,
-        executor: Any | None = None,
-        limits: EvalLimits | None = None,
+        limits: EvalLimits | LimitGuard | None = None,
     ) -> KSet:
         """The pointwise union of the per-document K-set results.
 
         Per-document results must be K-sets over the prepared semiring; their
         items are already coerced and normalized, so the merge runs through
         the trusted :meth:`KSet._accumulate_normalized` n-ary sum.
+
+        ``limits=`` bounds the batch as a whole: one guard's deadline covers
+        every document and the merge, and the merged K-set, the batch's
+        final result, is charged against the row and byte budgets too, as
+        single-shot evaluation over the union forest would charge it.  The
+        call's one query-log record carries the merged K-set, and a merge
+        over budget writes none.
         """
-        results = self.evaluate_many(
-            documents, env=env, method=method, executor=executor, limits=limits
-        )
-        semiring = self.prepared.semiring
-        for result in results:
-            if not isinstance(result, KSet) or result.semiring != semiring:
-                raise ExecError(
-                    "evaluate_merged needs forest/K-set results over the prepared "
-                    f"semiring; got {result!r}"
-                )
-        return KSet._accumulate_normalized(
-            semiring, itertools.chain.from_iterable(result.items() for result in results)
-        )
+        with observe("exec.batch", self.prepared) as obs:
+            guard = limits.start() if limits is not None and limits.is_bounded else None
+            results = self.evaluate_many(documents, env=env, method=method, limits=guard)
+            semiring = self.prepared.semiring
+            for result in results:
+                if not isinstance(result, KSet) or result.semiring != semiring:
+                    raise ExecError(
+                        "evaluate_merged needs forest/K-set results over the prepared "
+                        f"semiring; got {result!r}"
+                    )
+            merged = KSet._accumulate_normalized(
+                semiring, itertools.chain.from_iterable(result.items() for result in results)
+            )
+            if guard is not None:
+                guard.check_result(merged)
+            return obs.done(merged, method=method)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<BatchEvaluator var=${self.var} of {self.prepared!r}>"

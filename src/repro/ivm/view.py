@@ -13,7 +13,7 @@ equal to re-evaluation as the document changes:
   non-idempotent ones where a sloppy merge would corrupt multiplicities.
 * :meth:`MaterializedView.apply_many` pushes a stream of insert-only deltas
   through one :class:`~repro.exec.batch.BatchEvaluator` call (one frame
-  template, shared ``srt`` memo, optional executor) and merges once.
+  template, shared ``srt`` memo) and merges once.
 * Freshness is observable: :meth:`MaterializedView.stats` counts applies,
   incremental vs recomputed maintenance, refreshes and batched deltas, the
   way the plan cache exposes hits and misses.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from repro.errors import ExecError, IVMError
+from repro.errors import IVMError
 from repro.kcollections.kset import KSet
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
@@ -196,25 +196,17 @@ class MaterializedView:
         self._result = maintained
         return maintained
 
-    def apply_many(self, deltas: Iterable[Delta], executor: Any | None = None) -> Any:
+    def apply_many(self, deltas: Iterable[Delta]) -> Any:
         """Apply a stream of deltas, batching the insert-only linear case.
 
         When every delta is insert-only and the plan is linear, the per-delta
         result changes are independent of application order and of each
         other, so they are computed in **one**
         :meth:`~repro.exec.batch.BatchEvaluator.evaluate_merged` call (the
-        delta K-sets play the role of the documents, optionally fanned out
-        over ``executor``) and merged into the view once.  Anything else
-        degrades gracefully to sequential :meth:`apply`.
+        delta K-sets play the role of the documents) and merged into the
+        view once.  Anything else degrades gracefully to sequential
+        :meth:`apply`.
         """
-        from repro.exec.batch import refuse_process_pool
-
-        # Refused up front, whichever path the stream takes: batched
-        # maintenance runs in the calling process, like every batch.
-        try:
-            refuse_process_pool(executor)
-        except ExecError as error:
-            raise IVMError(f"apply_many: {error}") from None
         deltas = list(deltas)
         for delta in deltas:
             self._check_delta(delta)
@@ -250,7 +242,7 @@ class MaterializedView:
         evaluator = BatchEvaluator(_PreparedDeltaAdapter(plan), var=plan.delta_var)
         with span("ivm.apply", maintenance="incremental-batch", deltas=len(deltas)):
             change = evaluator.evaluate_merged(
-                [delta.insertions() for delta in deltas], env=self._env, executor=executor
+                [delta.insertions() for delta in deltas], env=self._env
             )
         document = apply_sequence(self._document, deltas)
         self._applies += len(deltas)

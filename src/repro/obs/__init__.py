@@ -9,9 +9,10 @@ armed, an instrumentation site costs a few module-global reads.
   Every pre-existing stats surface (plan cache, views, store, codegen)
   publishes into it and the registry renders as JSON or
   Prometheus/OpenMetrics text (``repro metrics``, ``/metrics``).
-* :mod:`repro.obs.trace` — span-based tracing across the whole pipeline
-  with head sampling (``tracing(sample_rate=...)``) and tail promotion of
-  slow traces.  Exportable as JSONL or Chrome ``trace_event`` JSON.
+* :mod:`repro.obs.trace` — span-based tracing across the whole pipeline,
+  armed per scope (``with tracing():``); the armed scope's trace id tags
+  events and histogram exemplars.  Exportable as JSONL or Chrome
+  ``trace_event`` JSON.
 * :mod:`repro.obs.events` — the flight recorder: a bounded ring of
   structured events emitted at operational decision points (IVM
   recompute fallbacks, codegen declines, limit trips, fault injections,

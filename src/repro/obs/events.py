@@ -15,8 +15,7 @@ ring is only ever touched on *cold* paths — event sites are exceptional by
 definition (a fallback, a decline, a trip), never the per-evaluate hot loop —
 so the recorder stays armed by default (``REPRO_EVENTS=off`` disables).
 
-Every event carries the active trace id when tracing is armed (sampled
-*or* head-sampled-out scopes both expose their id — see
+Every event carries the active trace id when tracing is armed (see
 :mod:`repro.obs.trace`), which is what links an ``ivm.recompute`` event to
 the exact view update that suffered it.
 

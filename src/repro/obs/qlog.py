@@ -33,10 +33,9 @@ scraped production process.
 ``REPRO_SLOW_QUERY_MS`` set, a user-level call at or over the threshold is
 recorded even while the log is off, bumps ``repro_slow_queries_total`` and
 emits one ``query.slow`` event; :func:`slow_queries` (``/debug/slow``) lists
-the ring's records over the threshold, and trace tail promotion reads the
-same threshold.  :func:`observe` re-reads the threshold (and only the
-threshold) from the environment every 1024 calls, so a long-lived process
-can arm it without a restart.
+the ring's records over the threshold.  :func:`observe` re-reads the
+threshold (and only the threshold) from the environment every 1024 calls,
+so a long-lived process can arm it without a restart.
 
 Cost discipline (the ``fail_point`` contract): the log is **disarmed by
 default**, and a disarmed :func:`observe` costs a few module-global reads

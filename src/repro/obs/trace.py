@@ -14,27 +14,17 @@ Arming is scoped::
         evaluate_query(...)            # spans collect into tracer
     print(export_jsonl(tracer.spans))  # or export_chrome(...)
 
-Parent/child nesting is tracked per thread; spans started on pool threads
-without an enclosing span become trace roots, still tagged with the
-tracer's trace id.
-
-**Sampling.** ``tracing(sample_rate=0.01)`` lets tracing stay armed under
-production load: the keep/drop decision is made *at scope entry* (cheap
-head sampling — one random draw), and a sampled-out scope records no spans
-at all — every ``span()`` site pays one global read plus one attribute
-read.  The scope still carries a trace id (:func:`current_trace_id`), so
-flight-recorder events and histogram exemplars emitted inside it remain
-linkable.  On exit, **tail promotion** rescues the traces that matter: a
-sampled-out scope whose total duration crosses the slow-query threshold
-(``REPRO_SLOW_QUERY_MS``) is kept anyway, as a single synthetic root span
-marked ``promoted`` (per-operator detail is the price of head sampling).
+Parent/child nesting is tracked per thread; spans started on another
+thread without an enclosing span become trace roots, still tagged with the
+tracer's trace id.  While a scope is armed, :func:`current_trace_id` exposes
+that id, so flight-recorder events and histogram exemplars emitted inside it
+stay linkable to its spans.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 import uuid
@@ -158,11 +148,6 @@ class Tracer:
     def __init__(self):
         self.trace_id = uuid.uuid4().hex
         self.spans: list[Span] = []
-        #: Head-sampling verdict while the scope is open (span sites read
-        #: it); the final keep/drop verdict once the scope closes.
-        self.sampled = True
-        #: True when a sampled-out trace was kept by tail promotion.
-        self.promoted = False
         self._lock = threading.Lock()
 
     def add(self, finished: Span) -> None:
@@ -182,11 +167,7 @@ def is_active() -> bool:
 
 
 def current_trace_id() -> str | None:
-    """The armed tracer's trace id, or ``None`` (one global read disarmed).
-
-    Sampled-out scopes expose their id too: flight-recorder events and
-    histogram exemplars stay linkable even when span recording is off.
-    """
+    """The armed tracer's trace id, or ``None`` (one global read disarmed)."""
     if not _ACTIVE:
         return None
     tracer = _TRACER
@@ -197,38 +178,22 @@ def span(name: str, **attrs: Any):
     """Start a span named ``name``; a shared no-op when tracing is disarmed.
 
     The returned object is a context manager with an ``annotate(**attrs)``
-    method.  Cost when disarmed: one module-global read; inside a
-    sampled-out ``tracing(sample_rate=...)`` scope: one more attribute read.
+    method.  Cost when disarmed: one module-global read.
     """
     if not _ACTIVE:
         return _NULL
     tracer = _TRACER
-    if tracer is None or not tracer.sampled:
+    if tracer is None:
         return _NULL
     return _LiveSpan(tracer, name, attrs)
 
 
 class tracing:
-    """Context manager arming a (new or given) tracer process-wide.
+    """Context manager arming a (new or given) tracer process-wide."""
 
-    ``sample_rate`` (0.0–1.0) arms *sampled* tracing: the scope records
-    spans only when the head-sampling draw keeps it, but always exposes a
-    trace id, and a sampled-out scope slower than the slow-query threshold
-    is promoted to a kept trace on exit (one synthetic root span).  After
-    the scope closes, ``tracer.sampled`` is the final keep/drop verdict and
-    ``tracer.promoted`` says whether tail promotion made the keep.
-    """
-
-    def __init__(self, tracer: Tracer | None = None,
-                 sample_rate: float | None = None):
-        if sample_rate is not None and not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
+    def __init__(self, tracer: Tracer | None = None):
         self.tracer = tracer if tracer is not None else Tracer()
-        self.sample_rate = sample_rate
-        if sample_rate is not None:
-            self.tracer.sampled = random.random() < sample_rate
         self._previous: Tracer | None = None
-        self._started = 0.0
 
     def __enter__(self) -> Tracer:
         global _ACTIVE, _TRACER
@@ -236,7 +201,6 @@ class tracing:
             self._previous = _TRACER
             _TRACER = self.tracer
             _ACTIVE = True
-        self._started = time.perf_counter()
         return self.tracer
 
     def __exit__(self, *exc: Any) -> None:
@@ -244,31 +208,6 @@ class tracing:
         with _LOCK:
             _TRACER = self._previous
             _ACTIVE = _TRACER is not None
-        elapsed = time.perf_counter() - self._started
-        if self.tracer.sampled:
-            return
-        # Tail promotion: a sampled-out scope slower than the slow-query
-        # threshold is always kept — as one synthetic root span, since the
-        # per-operator spans were (deliberately) never recorded.  (The query
-        # log owns the threshold and imports this module, hence the late import.)
-        from repro.obs.qlog import slow_query_ms
-
-        threshold_ms = slow_query_ms()
-        if threshold_ms is not None and elapsed * 1000.0 >= threshold_ms:
-            root = Span(
-                self.tracer.trace_id, uuid.uuid4().hex[:16], None,
-                "trace.promoted-root",
-                {"promoted": True, "sample_rate": self.sample_rate},
-            )
-            root.start_wall -= elapsed
-            root.start_mono -= elapsed
-            root.duration = elapsed
-            self.tracer.promoted = True
-            self.tracer.sampled = True
-            self.tracer.add(root)
-        else:
-            with self.tracer._lock:
-                self.tracer.spans.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,16 @@ class EvalLimits:
 class LimitGuard:
     """An armed limit set with an absolute deadline.
 
-    Stateless after construction, so one guard can be shared by every
-    worker thread of a batch — each thread activates it on its own
-    thread-local stack (``with activate(guard): ...``).
+    Stateless after construction, so one guard can bound several calls: a
+    batch activates it once around its whole loop (``with activate(guard):
+    ...``) and charges each result with :meth:`check_result`.  An armed
+    guard is also accepted wherever ``limits=`` is: starting it again
+    returns it unchanged, so a nested call shares the caller's deadline.
     """
 
     __slots__ = ("limits", "deadline", "max_rows", "max_bytes")
+
+    is_bounded = True
 
     def __init__(self, limits: EvalLimits):
         self.limits = limits
@@ -100,6 +104,10 @@ class LimitGuard:
         )
         self.max_rows = limits.max_rows
         self.max_bytes = limits.max_result_bytes
+
+    def start(self) -> "LimitGuard":
+        """Already armed: this guard, with its deadline unchanged."""
+        return self
 
     def tick(self, rows: int = 0) -> None:
         """Cooperative check: deadline always, row budget when ``rows`` given."""

@@ -38,7 +38,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from repro.errors import SemiringError, StoreError
+from repro.errors import ExecError, SemiringError, StoreError
 from repro.exec.plan_cache import PlanCache
 from repro.ivm.delta import Delta
 from repro.ivm.view import MaterializedView
@@ -456,11 +456,14 @@ class DocumentStore:
         The stored forests are reused directly — no re-shredding, no
         re-parsing — through :class:`~repro.exec.batch.BatchEvaluator` (one
         frame template, shared ``srt`` memo); ``merge=True`` unions the
-        per-document K-sets exactly.  ``executor`` may be a thread pool; the
-        batch runs in this process.
+        per-document K-sets exactly.  The batch runs inline; ``executor`` is
+        kept only for callers that pass ``None``, and any other value raises
+        :class:`~repro.errors.ExecError` before any document runs.
         """
         from repro.exec.batch import BatchEvaluator
 
+        if executor is not None:
+            raise ExecError(f"query_many runs inline and takes no executor; got {executor!r}")
         ids = list(doc_ids) if doc_ids is not None else self.document_ids()
         documents = [self.forest(doc_id) for doc_id in ids]
         env_types = {var: FOREST}
@@ -480,7 +483,7 @@ class DocumentStore:
             var=var,
             merge=merge,
         ) as obs:
-            result = run(documents, env=env, executor=executor, limits=limits)
+            result = run(documents, env=env, limits=limits)
             return obs.done(result, method="nrc-codegen")
 
     # ------------------------------------------------------------------- views

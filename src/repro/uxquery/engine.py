@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import hashlib
 from time import perf_counter as _perf
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from repro.errors import UXQueryEvalError, UXQueryTypeError
+from repro.errors import UXQueryEvalError
 from repro.kcollections.kset import KSet
 from repro.nrc.ast import Expr, expression_size
 from repro.nrc.codegen import CodegenProgram, compile_program
@@ -312,19 +312,12 @@ class PreparedQuery:
         env: Mapping[str, Any] | None = None,
         method: str = DEFAULT_METHOD,
         *,
-        documents: Iterable[Any] | None = None,
-        document_var: str | None = None,
-        executor: Any | None = None,
         limits: EvalLimits | None = None,
     ) -> Any:
         """Evaluate the prepared query in the given environment.
 
-        With ``documents=`` the query is run once per document in a single
-        batched call (see :class:`repro.exec.batch.BatchEvaluator`): each
-        document is bound to the document variable (``document_var``, inferred
-        when omitted), ``env`` supplies the remaining bindings, and a list of
-        per-document results is returned, optionally fanned out over a
-        thread-pool ``executor`` (batches run in the calling process).
+        To run it over many documents in one call, use
+        :class:`repro.exec.batch.BatchEvaluator`.
 
         ``limits=`` attaches an :class:`~repro.resilience.limits.EvalLimits`
         guardrail: the deadline clock starts at this call, the evaluators
@@ -333,12 +326,6 @@ class PreparedQuery:
         under every method (three-evaluator contract).
         """
         validate_method(method)
-        if documents is not None:
-            from repro.exec.batch import BatchEvaluator
-
-            return BatchEvaluator(self, var=document_var).evaluate_many(
-                documents, env=env, method=method, executor=executor, limits=limits
-            )
         with observe("evaluate", self, method=method, semiring=self.semiring.name) as obs:
             if limits is None or not limits.is_bounded:
                 result = self._dispatch(env, method)
@@ -427,55 +414,11 @@ def evaluate_query(
     env: Mapping[str, Any] | None = None,
     method: str = DEFAULT_METHOD,
     *,
-    documents: Iterable[Any] | None = None,
-    document_var: str | None = None,
-    executor: Any | None = None,
     limits: EvalLimits | None = None,
 ) -> Any:
     """Parse, compile and evaluate a K-UXQuery in one call.
 
-    ``documents=``/``document_var=``/``executor=``/``limits=`` are forwarded
-    to :meth:`PreparedQuery.evaluate` for batched / guarded execution.
+    ``limits=`` is forwarded to :meth:`PreparedQuery.evaluate`.
     """
-    if documents is not None:
-        # The document variable is typed from the first document, so callers
-        # need not repeat a (representative) document in ``env``.  The
-        # variable defaults to the conventional ``S``; the batch evaluator
-        # rejects a document variable that is not free in the query, so a
-        # differently-named variable fails loudly instead of being ignored.
-        documents = list(documents)
-        var = document_var or "S"
-        types = env_types_of(env)
-        if not documents:
-            # Still fail loudly on a bad method, executor or query; the
-            # document variable cannot be typed without a document, so
-            # typechecking is deferred unless env covers it.
-            from repro.exec.batch import refuse_process_pool
-
-            validate_method(method)
-            refuse_process_pool(executor)
-            ast = parse_query(query) if isinstance(query, str) else query
-            if var in types:
-                prepare_query(ast, semiring, env_types=types)
-            return []
-        if var not in types:
-            types.update(env_types_of({var: documents[0]}))
-        try:
-            prepared = prepare_query(query, semiring, env_types=types)
-        except UXQueryTypeError as error:
-            # The usual cause: the query names its document variable
-            # something other than the default ``S``.
-            raise UXQueryTypeError(
-                f"{error} (documents are bound to ${var}; a query using a "
-                "different variable needs document_var=)"
-            ) from error
-        return prepared.evaluate(
-            env,
-            method=method,
-            documents=documents,
-            document_var=var,
-            executor=executor,
-            limits=limits,
-        )
     prepared = prepare_query(query, semiring, env)
     return prepared.evaluate(env, method=method, limits=limits)

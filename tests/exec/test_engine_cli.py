@@ -1,8 +1,6 @@
-"""Wiring: documents=/executor= on the engine, method validation, CLI batch."""
+"""Wiring: method validation on the engine, the CLI batch command."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -41,70 +39,6 @@ class TestMethodValidation:
         documents = _documents(1)
         with pytest.raises(UXQueryEvalError, match="valid methods"):
             evaluate_query("($S)/*", NATURAL, {"S": documents[0]}, method="fastest")
-
-
-class TestEngineBatchWiring:
-    def test_documents_parameter_on_evaluate_query(self):
-        documents = _documents()
-        results = evaluate_query("($S)/*/*", NATURAL, documents=documents)
-        single = [
-            evaluate_query("($S)/*/*", NATURAL, {"S": document}) for document in documents
-        ]
-        assert results == single
-
-    def test_documents_with_executor(self):
-        documents = _documents()
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            results = evaluate_query(
-                "($S)//c", NATURAL, documents=documents, executor=executor
-            )
-        single = [
-            evaluate_query("($S)//c", NATURAL, {"S": document}) for document in documents
-        ]
-        assert results == single
-
-    def test_documents_with_explicit_var(self):
-        documents = _documents(2)
-        results = evaluate_query(
-            "($D)/*", NATURAL, documents=documents, document_var="D"
-        )
-        assert results == [
-            evaluate_query("($D)/*", NATURAL, {"D": document}) for document in documents
-        ]
-
-    def test_prepared_evaluate_documents(self):
-        documents = _documents(3)
-        prepared = prepare_query("($S)/*", NATURAL, {"S": documents[0]})
-        results = prepared.evaluate(documents=documents)
-        assert results == [prepared.evaluate({"S": document}) for document in documents]
-
-    def test_empty_documents_list_returns_empty(self):
-        assert evaluate_query("($S)/*", NATURAL, documents=[]) == []
-
-    def test_empty_documents_still_validate_method_and_query(self):
-        from repro.errors import UXQuerySyntaxError
-
-        with pytest.raises(UXQueryEvalError, match="valid methods"):
-            evaluate_query("($S)/*", NATURAL, documents=[], method="nrcc")
-        with pytest.raises(UXQuerySyntaxError):
-            evaluate_query("for $x in", NATURAL, documents=[])
-
-    def test_mismatched_document_var_fails_loudly(self):
-        """Documents bound to a non-free variable must not be silently ignored."""
-        from repro.errors import ExecError
-
-        documents = _documents(2)
-        with pytest.raises(ExecError, match="not a free variable"):
-            evaluate_query(
-                "($D)/*", NATURAL, env={"D": documents[0]}, documents=documents
-            )
-
-    def test_mismatched_document_var_without_env_hints_at_document_var(self):
-        from repro.errors import UXQueryTypeError
-
-        documents = _documents(2)
-        with pytest.raises(UXQueryTypeError, match="document_var="):
-            evaluate_query("($D)/*", NATURAL, documents=documents)
 
 
 BAG_DOCS = {
@@ -159,24 +93,12 @@ class TestCliBatch:
         assert "b^{6}" in output  # 2+3 from one.xml, 1 from two.xml
         assert "c^{9}" in output  # 4 from two.xml, 5 from three.xml
 
-    def test_batch_with_jobs(self, document_dir, capsys):
-        assert (
-            main(
-                [
-                    "batch",
-                    "--query",
-                    "($S)/*",
-                    "--dir",
-                    document_dir,
-                    "--semiring",
-                    "N",
-                    "--jobs",
-                    "3",
-                ]
-            )
-            == 0
-        )
-        assert "b^{5}" in capsys.readouterr().out
+    def test_batch_rejects_a_jobs_count(self, document_dir, capsys):
+        """Batches run inline; an old ``--jobs`` invocation fails loudly."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--query", "($S)/*", "--dir", document_dir, "--jobs", "3"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_batch_uses_the_plan_cache(self, document_dir, capsys):
         before = default_plan_cache().stats().compiles

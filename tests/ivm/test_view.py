@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.errors import IVMError
@@ -229,7 +227,7 @@ class TestBatchedApplication:
         assert stats.batched == 6
         assert stats.applies == 6
 
-    def test_apply_many_with_executor(self):
+    def test_apply_many_batches_provenance_streams(self):
         document = random_forest(PROVENANCE, num_trees=4, depth=2, fanout=2, seed=21)
         prepared = prepare_query("($S)/*", PROVENANCE, {"S": document})
         view = prepared.materialize(document)
@@ -237,20 +235,9 @@ class TestBatchedApplication:
             Delta.insertion(PROVENANCE, random_tree(PROVENANCE, 2, 2, seed=400 + i))
             for i in range(5)
         ]
-        with ThreadPoolExecutor(max_workers=3) as executor:
-            view.apply_many(deltas, executor=executor)
+        view.apply_many(deltas)
         assert view.result == prepared.evaluate({"S": view.document})
         assert view.stats().batched == 5
-
-    def test_apply_many_rejects_process_pools(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        document = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=23)
-        view = prepare_query(LINEAR_QUERY, NATURAL, {"S": document}).materialize(document)
-        deltas = [Delta.insertion(NATURAL, random_tree(NATURAL, 2, 2, seed=i)) for i in range(2)]
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            with pytest.raises(IVMError, match="process pools"):
-                view.apply_many(deltas, executor=executor)
 
     def test_apply_many_recomputes_once_for_non_incremental_plans(self):
         document = random_forest(NATURAL, num_trees=4, depth=2, fanout=2, seed=24)

@@ -260,9 +260,9 @@ class TestOneRecordPerUserCall:
         assert records[0]["rows"] == len(results) == 3
 
     @pytest.mark.parametrize("method", ["nrc-interp", "direct"])
-    def test_thread_pool_batch_on_the_interpreters_owns_its_record(self, method):
-        # Pool threads sit outside the caller's nesting guard, so the
-        # per-document runs must not enter an observed evaluate() of their own.
+    def test_interpreter_batch_owns_its_record(self, method):
+        # The per-document runs go through the plan's method dispatch, never
+        # an observed evaluate() of their own.
         forests = [
             random_forest(NATURAL, num_trees=1, depth=2, fanout=2, seed=seed)
             for seed in range(6)
@@ -271,12 +271,47 @@ class TestOneRecordPerUserCall:
         evaluator = BatchEvaluator(prepared, var="S")
         with qlog.recording(True):
             qlog.clear_records()
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                results = evaluator.evaluate_many(forests, method=method, executor=pool)
+            results = evaluator.evaluate_many(forests, method=method)
             records = qlog.recent_records()
         assert [entry["op"] for entry in records] == ["exec.batch"]
         assert records[0]["method"] == method
         assert records[0]["rows"] == len(results) == 6
+
+    def test_merged_batch_records_the_merged_result(self):
+        forests = [
+            random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=seed)
+            for seed in range(3)
+        ]
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forests[0]})
+        evaluator = BatchEvaluator(prepared, var="S")
+        with qlog.recording(True):
+            qlog.clear_records()
+            merged = evaluator.evaluate_merged(forests)
+            records = qlog.recent_records()
+        assert [entry["op"] for entry in records] == ["exec.batch"]
+        # The user call's result is the union, not the per-document list.
+        assert records[0]["rows"] == len(merged) > len(forests)
+
+    def test_merged_batch_over_its_budget_writes_no_record(self):
+        from repro.errors import BudgetExceededError
+        from repro.resilience import EvalLimits
+
+        forests = [
+            random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=seed)
+            for seed in range(3)
+        ]
+        prepared = prepare_query("($S)/*", NATURAL, {"S": forests[0]})
+        evaluator = BatchEvaluator(prepared, var="S")
+        merged = evaluator.evaluate_merged(forests)
+        # Every per-document result fits; only the union is over budget.
+        budget = EvalLimits(max_rows=len(merged) - 1)
+        assert max(len(each) for each in evaluator.evaluate_many(forests)) < len(merged) - 1
+        with qlog.recording(True):
+            qlog.clear_records()
+            with pytest.raises(BudgetExceededError):
+                evaluator.evaluate_merged(forests, limits=budget)
+            records = qlog.recent_records()
+        assert records == []
 
     def test_ivm_apply_owns_its_record(self):
         from repro.ivm import Delta

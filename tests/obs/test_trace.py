@@ -1,4 +1,4 @@
-"""Span tracing: arming, nesting, sampling, exports."""
+"""Span tracing: arming, nesting, exports."""
 
 from __future__ import annotations
 
@@ -17,6 +17,9 @@ class TestDisarmed:
         with first as live:
             live.annotate(ignored=True)  # all no-ops
 
+    def test_current_trace_id_is_none_when_disarmed(self):
+        assert trace_module.current_trace_id() is None
+
 
 class TestArmed:
     def test_spans_nest_and_carry_attrs(self):
@@ -34,6 +37,17 @@ class TestArmed:
         assert outer_span.trace_id == inner_span.trace_id == tracer.trace_id
         assert outer_span.attrs == {"kind": "test", "extra": 1}
         assert outer_span.duration >= inner_span.duration >= 0.0
+
+    def test_every_armed_scope_records_and_exposes_its_id(self):
+        with tracing() as tracer:
+            assert trace_module.current_trace_id() == tracer.trace_id
+            live = span("kept")
+            assert live is not trace_module._NULL
+            with live:
+                pass
+        assert trace_module.current_trace_id() is None
+        assert [s.name for s in tracer.spans] == ["kept"]
+        assert tracer.spans[0].trace_id == tracer.trace_id
 
     def test_exception_is_recorded_and_stack_unwinds(self):
         with tracing() as tracer:
@@ -58,77 +72,6 @@ class TestArmed:
                 pass
         assert [s.name for s in inner_tracer.spans] == ["inner-only"]
         assert [s.name for s in outer_tracer.spans] == ["outer-only"]
-
-
-class TestSampling:
-    def test_rate_one_always_keeps_the_trace(self):
-        with tracing(sample_rate=1.0) as tracer:
-            with span("kept"):
-                pass
-        assert tracer.sampled and not tracer.promoted
-        assert [s.name for s in tracer.spans] == ["kept"]
-
-    def test_sampled_out_scope_records_no_spans_but_keeps_its_id(self):
-        with tracing(sample_rate=0.0) as tracer:
-            assert trace_module.current_trace_id() == tracer.trace_id
-            assert span("dropped") is trace_module._NULL
-        assert tracer.spans == []
-        assert not tracer.sampled and not tracer.promoted
-
-    def test_invalid_sample_rate_is_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="sample_rate"):
-            tracing(sample_rate=1.5)
-
-    def test_current_trace_id_is_none_when_disarmed(self):
-        assert trace_module.current_trace_id() is None
-
-    def test_tail_promotion_rescues_a_slow_sampled_out_trace(self, monkeypatch):
-        import time
-
-        from repro.obs import qlog
-
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "5")
-        qlog.refresh_qlog_config()
-        try:
-            with tracing(sample_rate=0.0) as tracer:
-                time.sleep(0.02)  # cross the 5ms threshold
-        finally:
-            monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
-            qlog.refresh_qlog_config()
-        assert tracer.sampled and tracer.promoted
-        assert [s.name for s in tracer.spans] == ["trace.promoted-root"]
-        root = tracer.spans[0]
-        assert root.attrs["promoted"] is True
-        assert root.attrs["sample_rate"] == 0.0
-        assert root.duration >= 0.005
-        assert root.trace_id == tracer.trace_id
-
-    def test_fast_sampled_out_trace_stays_dropped(self, monkeypatch):
-        from repro.obs import qlog
-
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "60000")
-        qlog.refresh_qlog_config()
-        try:
-            with tracing(sample_rate=0.0) as tracer:
-                pass
-        finally:
-            monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
-            qlog.refresh_qlog_config()
-        assert not tracer.sampled and not tracer.promoted
-        assert tracer.spans == []
-
-    def test_no_promotion_when_threshold_disarmed(self):
-        import time
-
-        from repro.obs import qlog
-
-        assert qlog.slow_query_ms() is None  # default: disarmed
-        with tracing(sample_rate=0.0) as tracer:
-            time.sleep(0.005)
-        assert not tracer.sampled
-        assert tracer.spans == []
 
 
 class TestExport:
