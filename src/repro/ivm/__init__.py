@@ -10,18 +10,19 @@ Three cooperating pieces
 ------------------------
 * :mod:`repro.ivm.delta` — :class:`Delta`, annotated top-level changes to a
   document forest (insert / delete / re-annotate), carried as difference
-  pairs over the ring-completion semiring ``Diff(K)``
-  (:mod:`repro.semirings.diff`).
+  pairs ``(pos, neg)`` (:class:`~repro.semirings.diff.DiffPair`) and split
+  into plain K-sets of insertions and deletions for evaluation.
 * :mod:`repro.ivm.derive` — :class:`DeltaPlan`, the derivative of a prepared
   query plan with respect to the document variable: classified
   :data:`~repro.ivm.derive.LINEAR` (reads only the delta),
   :data:`~repro.ivm.derive.BILINEAR` (also reads the old/new document — the
   self-join shapes) or :data:`~repro.ivm.derive.NON_INCREMENTAL`
-  (recompute), and closure-compiled like every other plan.
+  (recompute), and compiled once over ``K`` like every other plan.
 * :mod:`repro.ivm.view` — :class:`MaterializedView`, a cached K-set result
   plus :meth:`~MaterializedView.apply`: exact maintenance with recompute
-  fallback, batched insert streams through :mod:`repro.exec.batch`, and
-  hit/miss-style freshness stats.
+  fallback (deletions by the counting split over semirings with exact
+  subtraction), batched insert streams through :mod:`repro.exec.batch`,
+  and hit/miss-style freshness stats.
 
 Entry points
 ------------
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import IVMError
-from repro.ivm.delta import Delta, lift_forest, lift_tree, lower_value
+from repro.ivm.delta import Delta
 from repro.ivm.derive import (
     BILINEAR,
     CLASSIFICATIONS,
@@ -63,9 +64,6 @@ __all__ = [
     "BILINEAR",
     "NON_INCREMENTAL",
     "CLASSIFICATIONS",
-    "lift_forest",
-    "lift_tree",
-    "lower_value",
 ]
 
 

@@ -27,11 +27,11 @@ deletions (reduce a multiplicity, drop one summand of a polynomial) need a
 subtractive semiring — exactly the paper-level distinction between semirings
 that embed in their ring completion and those that do not.
 
-For evaluation, a delta has two faces: :meth:`Delta.insertions` — the plain
-K-set of positive parts, used on the fast insert-only path — and
-:meth:`Delta.as_diff_forest` — the delta as a K-set *over* ``Diff(K)`` with
-every member tree's nested annotations lifted, ready to be fed to a query
-plan compiled over ``Diff(K)``.
+For evaluation, a delta splits into two plain K-sets over the document's
+semiring: :meth:`Delta.insertions` (the positive parts) and
+:meth:`Delta.deletions` (the negative parts).  A view feeds each to the one
+delta plan compiled over ``K`` and adds, respectively subtracts, the
+results (:mod:`repro.ivm.view`).
 """
 
 from __future__ import annotations
@@ -41,17 +41,10 @@ from typing import Any, Iterable, Iterator, Tuple
 from repro.errors import IVMError
 from repro.kcollections.kset import KSet
 from repro.semirings.base import Semiring
-from repro.semirings.diff import DiffPair, DiffSemiring, diff_of
+from repro.semirings.diff import DiffPair, DiffSemiring
 from repro.uxml.tree import UTree
 
-__all__ = [
-    "Delta",
-    "apply_sequence",
-    "combine_change",
-    "lift_tree",
-    "lift_forest",
-    "lower_value",
-]
+__all__ = ["Delta", "apply_sequence", "combine_change"]
 
 
 class Delta:
@@ -126,11 +119,6 @@ class Delta:
         """The base annotation semiring (the document's, not ``Diff(K)``)."""
         return self._semiring
 
-    @property
-    def diff_semiring(self) -> DiffSemiring:
-        """The ``Diff(K)`` semiring this delta's pairs live in."""
-        return diff_of(self._semiring)
-
     def items(self) -> Iterator[Tuple[UTree, DiffPair]]:
         """Iterate over ``(tree, (pos, neg))`` changes."""
         return iter(self._pairs.items())
@@ -175,7 +163,7 @@ class Delta:
 
     # -------------------------------------------------------------- evaluation
     def insertions(self) -> KSet:
-        """The positive parts as a plain K-set (the insert-only fast path)."""
+        """The positive parts as a plain K-set (what the delta adds)."""
         semiring = self._semiring
         return KSet(
             semiring,
@@ -197,17 +185,6 @@ class Delta:
                 if not semiring.is_zero(pair.neg)
             ],
         )
-
-    def as_diff_forest(self) -> KSet:
-        """The delta as a forest over ``Diff(K)``, member trees lifted.
-
-        This is what a delta plan compiled over ``Diff(K)`` evaluates: the
-        top-level annotations are the raw ``(pos, neg)`` pairs, and every
-        *nested* annotation inside the member trees is the lift ``(k, 0)`` so
-        that navigation into the trees stays within one semiring.
-        """
-        diff = self.diff_semiring
-        return KSet(diff, [(lift_tree(tree, diff), pair) for tree, pair in self._pairs.items()])
 
     # -------------------------------------------------------------- application
     def apply_to(self, document: KSet) -> KSet:
@@ -303,64 +280,3 @@ def _rebuild_kset(semiring: Semiring, items: dict) -> KSet:
     if not semiring.ops_preserve_normal_form:
         return KSet(semiring, items)
     return KSet._from_normalized(semiring, items)
-
-
-# ---------------------------------------------------------------------------
-# Lifting K-annotated values into Diff(K) and lowering results back
-# ---------------------------------------------------------------------------
-def lift_tree(tree: UTree, diff: DiffSemiring) -> UTree:
-    """Rewrite every nested annotation of ``tree`` to its lift ``(k, 0)``."""
-    base_zero = diff.base.normalize(diff.base.zero)
-    lifted = KSet._from_normalized(
-        diff,
-        {
-            lift_tree(child, diff): DiffPair(annotation, base_zero)
-            for child, annotation in tree.children.items()
-        },
-    )
-    return UTree(tree.label, lifted)
-
-
-def lift_forest(forest: KSet, diff: DiffSemiring) -> KSet:
-    """Lift a whole K-forest into ``Diff(K)`` (members and nested annotations)."""
-    base_zero = diff.base.normalize(diff.base.zero)
-    return KSet._from_normalized(
-        diff,
-        {
-            lift_tree(tree, diff): DiffPair(annotation, base_zero)
-            for tree, annotation in forest.items()
-        },
-    )
-
-
-def lower_value(value: Any, diff: DiffSemiring) -> Any:
-    """Map a value computed over ``Diff(K)`` back to the base semiring.
-
-    Values produced by derived delta plans only ever carry *lifted* nested
-    annotations (the derivative rules never put the delta variable under a
-    value constructor), so lowering is the exact inverse of lifting.  A
-    nested pair with a non-zero negative part means the plan was not derived
-    by those rules; :class:`IVMError` makes the caller fall back to
-    recomputation instead of guessing.
-    """
-    if isinstance(value, UTree):
-        return UTree(value.label, _lower_kset(value.children, diff))
-    if isinstance(value, KSet):
-        return _lower_kset(value, diff)
-    from repro.nrc.values import Pair
-
-    if isinstance(value, Pair):
-        return Pair(lower_value(value.first, diff), lower_value(value.second, diff))
-    return value
-
-
-def _lower_kset(collection: KSet, diff: DiffSemiring) -> KSet:
-    base = diff.base
-    lowered: dict[Any, Any] = {}
-    for member, annotation in collection.items():
-        if not diff.is_lifted(annotation):
-            raise IVMError(
-                f"cannot lower nested annotation {annotation!r}: negative part"
-            )
-        lowered[lower_value(member, diff)] = base.normalize(annotation.pos)
-    return _rebuild_kset(base, lowered)

@@ -35,17 +35,20 @@ plan whose delta needs neither is classified :data:`LINEAR`; needing them is
 :data:`BILINEAR`; underivable plans are :data:`NON_INCREMENTAL`.
 
 The delta expression is itself simplified with the Appendix A axioms and
-compiled **twice**: over the base semiring ``K`` — evaluated directly for
-insert-only deltas, where everything stays in ``K`` — and, lazily, over
-``Diff(K)`` (:mod:`repro.semirings.diff`) for deltas that also delete or
-re-annotate, where the same program computes insertion and removal weights
-in one pass.  Each compilation goes through the same two-stage pipeline as
-query plans: the source-codegen evaluator (:mod:`repro.nrc.codegen`) when
-the delta expression is straight-line (child-chain and join shapes;
-descendant plans keep their ``srt`` inside the delta and fall back), with
-the closure-compiled form (:mod:`repro.nrc.compile_eval`) as automatic
-fallback, so view maintenance executes generated bytecode whenever the
-plan admits it.
+compiled **once**, over the base semiring ``K``.  That one program serves
+every delta: ``g(D, Delta)`` is exact for any added forest, so over a
+semiring with exact subtraction a delta that deletes or re-annotates is
+split into its insertions ``Delta+`` and removals ``Delta-`` (the counting
+algorithm of Gupta, Mumick & Subrahmanian, SIGMOD 1993).  With
+``U = D U Delta+ = D'' U Delta-``, the view adds ``g(Delta+; old=D, new=U)``
+and subtracts ``g(Delta-; old=D'', new=U)`` member-wise
+(:mod:`repro.ivm.view`).  The compilation goes through the same two-stage
+pipeline as query plans: the source-codegen evaluator
+(:mod:`repro.nrc.codegen`) when the delta expression is straight-line
+(child-chain and join shapes; descendant plans keep their ``srt`` inside
+the delta and fall back), with the closure-compiled form
+(:mod:`repro.nrc.compile_eval`) as automatic fallback, so view maintenance
+executes generated bytecode whenever the plan admits it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from repro.nrc.ast import (
 from repro.nrc.codegen import CodegenProgram, compile_program
 from repro.nrc.compile_eval import CompiledExpr, compile_expr
 from repro.nrc.rewrite import simplify
-from repro.semirings.diff import diff_of
 from repro.uxquery.engine import PreparedQuery
 from repro.uxquery.typecheck import FOREST
 
@@ -210,7 +212,6 @@ class DeltaPlan:
         self.compiled: CompiledExpr | None = None
         self.generated: CodegenProgram | None = None
         self.program: CompiledExpr | CodegenProgram | None = None
-        self._diff_program: CompiledExpr | CodegenProgram | None = None
         self.delta_var = self.old_var = self.new_var = None
         self.needs_old = self.needs_new = False
         self.reason: str | None = None
@@ -243,28 +244,6 @@ class DeltaPlan:
         self.needs_new = self.new_var in free
 
     # ------------------------------------------------------------ evaluation
-    @property
-    def compiled_diff(self) -> CompiledExpr | CodegenProgram:
-        """The delta expression compiled over ``Diff(K)`` (built on first use).
-
-        Lazy because insert-only workloads never leave the base semiring; a
-        benign race at worst compiles the same immutable program twice.
-        Codegen applies here too — ``Diff(K)`` preserves canonical forms
-        whenever ``K`` does — with the closure form as fallback.
-        """
-        program = self._diff_program
-        if program is None:
-            diff = diff_of(self.semiring)
-            program, _, _ = compile_program(
-                self.delta_expr, diff, compile_expr(self.delta_expr, diff)
-            )
-            self._diff_program = program
-        return program
-
-    def _check_incremental(self) -> None:
-        if self.classification == NON_INCREMENTAL:
-            raise IVMError(f"no delta plan: {self.reason}")
-
     def evaluate_insertions(
         self,
         insertions: KSet,
@@ -272,8 +251,15 @@ class DeltaPlan:
         new_document: KSet,
         env: Mapping[str, Any] | None = None,
     ) -> KSet:
-        """The result change for an insert-only delta, computed in plain ``K``."""
-        self._check_incremental()
+        """``g(insertions; old, new)``: what adding ``insertions`` to
+        ``old_document`` (giving ``new_document``) adds to the result.
+
+        Views call it for the members a delta removes too, with the
+        post-removal document as ``old_document``: the change such an
+        insertion would make is what the removal takes away.
+        """
+        if self.classification == NON_INCREMENTAL:
+            raise IVMError(f"no delta plan: {self.reason}")
         bindings = dict(env) if env else {}
         bindings[self.delta_var] = insertions
         if self.needs_old:
@@ -281,25 +267,6 @@ class DeltaPlan:
         if self.needs_new:
             bindings[self.new_var] = new_document
         return _expect_kset(self.program.evaluate(bindings), self.semiring)
-
-    def evaluate_diff(
-        self, diff_forest: KSet, env: Mapping[str, Any] | None = None
-    ) -> KSet:
-        """The result change over ``Diff(K)`` for a delta with deletions.
-
-        Only valid for :data:`LINEAR` plans (a bilinear plan would need the
-        whole document lifted into ``Diff(K)``, which costs as much as
-        recomputing).  ``env`` bindings must already live in ``Diff(K)``.
-        """
-        self._check_incremental()
-        if self.classification != LINEAR:
-            raise IVMError(
-                "deleting deltas on a bilinear plan need the full document in "
-                "Diff(K); fall back to recomputation"
-            )
-        bindings = dict(env) if env else {}
-        bindings[self.delta_var] = diff_forest
-        return _expect_kset(self.compiled_diff.evaluate(bindings), diff_of(self.semiring))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,15 +5,21 @@ with a document, caches the evaluated K-set result, and keeps it **exactly**
 equal to re-evaluation as the document changes:
 
 * :meth:`MaterializedView.apply` takes a :class:`~repro.ivm.delta.Delta`,
-  updates the document, and maintains the result through the compiled delta
-  plan (:mod:`repro.ivm.derive`) when one applies — insert-only deltas in
-  plain ``K``, deleting deltas through ``Diff(K)`` with exact subtraction —
-  and **recomputes** otherwise.  Either way the post-state equals evaluating
-  the query on the updated document, for every semiring, including the
-  non-idempotent ones where a sloppy merge would corrupt multiplicities.
+  updates the document, and maintains the result through the one delta plan
+  compiled over ``K`` (:mod:`repro.ivm.derive`) when it applies, and
+  **recomputes** otherwise.  A delta that deletes or re-annotates is split
+  into insertions ``d+`` and removals ``d-`` (the counting algorithm): with
+  ``U = D + d+ = D'' + d-``, the result gains ``g(d+; old=D, new=U)`` and
+  then loses ``g(d-; old=D'', new=U)`` by exact subtraction.  Insertions go
+  first, so a change that removes more of a member than it holds but adds
+  it back first stays incremental.  Either way the post-state equals
+  evaluating the query on the updated document, for every semiring,
+  including the non-idempotent ones where a sloppy merge would corrupt
+  multiplicities.
 * :meth:`MaterializedView.apply_many` pushes a stream of insert-only deltas
   through one :class:`~repro.exec.batch.BatchEvaluator` call (one frame
-  template, shared ``srt`` memo) and merges once.
+  template, shared ``srt`` memo) and merges once.  Like :meth:`apply`, it is
+  one user call and writes one ``ivm.apply`` query-log record.
 * Freshness is observable: :meth:`MaterializedView.stats` counts applies,
   incremental vs recomputed maintenance, refreshes and batched deltas, the
   way the plan cache exposes hits and misses.
@@ -22,14 +28,9 @@ Recompute fallback triggers (the *delta-plan contract*):
 
 1. the plan is :data:`~repro.ivm.derive.NON_INCREMENTAL` (non-forest result,
    or the document flows into a value constructor);
-2. the delta deletes or re-annotates and the plan is
-   :data:`~repro.ivm.derive.BILINEAR` (the delta computation would need the
-   whole document lifted into ``Diff(K)``);
-3. the delta deletes or re-annotates and the semiring has no exact
+2. the delta deletes or re-annotates and the semiring has no exact
    subtraction (``supports_subtraction`` is ``False``), so removal weights
-   cannot be cancelled out of the cached result;
-4. lowering a ``Diff(K)`` result back to ``K`` fails (defensive; derived
-   plans do not produce such results).
+   cannot be cancelled out of the cached result.
 """
 
 from __future__ import annotations
@@ -41,18 +42,8 @@ from repro.kcollections.kset import KSet
 from repro.obs.events import emit
 from repro.obs.metrics import default_registry
 from repro.obs.qlog import observe
-from repro.obs.trace import span
-from repro.ivm.delta import (
-    Delta,
-    apply_sequence,
-    combine_change,
-    lift_forest,
-    lift_tree,
-    lower_value,
-)
-from repro.ivm.derive import BILINEAR, LINEAR, NON_INCREMENTAL, DeltaPlan
-from repro.semirings.diff import diff_of
-from repro.uxml.tree import UTree
+from repro.ivm.delta import Delta, apply_sequence, combine_change
+from repro.ivm.derive import LINEAR, NON_INCREMENTAL, DeltaPlan
 from repro.uxquery.engine import PreparedQuery
 from repro.uxquery.typecheck import FOREST
 
@@ -131,7 +122,6 @@ class MaterializedView:
         self.semiring = prepared.semiring
         self.plan = DeltaPlan(prepared, var)
         self._env = {name: value for name, value in (env or {}).items() if name != var}
-        self._diff_env: dict[str, Any] | None = None
         self._document = document
         self._result = prepared.evaluate(self._bindings(document))
         self._applies = 0
@@ -204,8 +194,11 @@ class MaterializedView:
         other, so they are computed in **one**
         :meth:`~repro.exec.batch.BatchEvaluator.evaluate_merged` call (the
         delta K-sets play the role of the documents) and merged into the
-        view once.  Anything else degrades gracefully to sequential
-        :meth:`apply`.
+        view once.  A non-incremental plan folds the stream into one
+        recomputation; anything else runs :meth:`apply` per delta.  The
+        whole call is one ``ivm.apply`` scope, so it writes one query-log
+        record, whose ``method`` is ``ivm-recompute`` if any recomputation
+        ran.
         """
         deltas = list(deltas)
         for delta in deltas:
@@ -213,46 +206,54 @@ class MaterializedView:
         if not deltas:
             return self._result
         plan = self.plan
-        if plan.classification == NON_INCREMENTAL:
-            # Intermediate results are never observed, so fold the whole
-            # stream into the document and pay for one recomputation.
-            document = apply_sequence(self._document, deltas)
-            self._applies += len(deltas)
-            self._recomputes += 1
-            _VIEW_EVENTS.inc(len(deltas), kind="applies")
-            _VIEW_EVENTS.inc(kind="recomputes")
-            emit("ivm.recompute", reason="non-incremental plan",
-                 classification=NON_INCREMENTAL, deltas=len(deltas))
-            self._document = document
-            with span("ivm.apply", maintenance="recompute", deltas=len(deltas)):
-                self._result = self.prepared.evaluate(self._bindings(document))
-            return self._result
         batchable = (
             len(deltas) > 1
             and plan.classification == LINEAR
             and plan.delta_var in plan.compiled.free_variables
             and all(delta.is_insert_only() for delta in deltas)
         )
-        if not batchable:
-            for delta in deltas:
-                self.apply(delta)
-            return self._result
-        from repro.exec.batch import BatchEvaluator
+        recomputes = self._recomputes
+        with observe(
+            "ivm.apply", self.prepared,
+            classification=plan.classification, deltas=len(deltas),
+        ) as obs:
+            if plan.classification == NON_INCREMENTAL:
+                # Intermediate results are never observed, so fold the whole
+                # stream into the document and pay for one recomputation.
+                obs.annotate(maintenance="recompute")
+                document = apply_sequence(self._document, deltas)
+                self._applies += len(deltas)
+                self._recomputes += 1
+                _VIEW_EVENTS.inc(len(deltas), kind="applies")
+                _VIEW_EVENTS.inc(kind="recomputes")
+                emit("ivm.recompute", reason="non-incremental plan",
+                     classification=NON_INCREMENTAL, deltas=len(deltas))
+                self._document = document
+                self._result = self.prepared.evaluate(self._bindings(document))
+            elif batchable:
+                from repro.exec.batch import BatchEvaluator
 
-        evaluator = BatchEvaluator(_PreparedDeltaAdapter(plan), var=plan.delta_var)
-        with span("ivm.apply", maintenance="incremental-batch", deltas=len(deltas)):
-            change = evaluator.evaluate_merged(
-                [delta.insertions() for delta in deltas], env=self._env
+                obs.annotate(maintenance="incremental-batch")
+                evaluator = BatchEvaluator(_PreparedDeltaAdapter(plan), var=plan.delta_var)
+                change = evaluator.evaluate_merged(
+                    [delta.insertions() for delta in deltas], env=self._env
+                )
+                document = apply_sequence(self._document, deltas)
+                self._applies += len(deltas)
+                self._incremental += len(deltas)
+                self._batched += len(deltas)
+                _VIEW_EVENTS.inc(len(deltas), kind="applies")
+                _VIEW_EVENTS.inc(len(deltas), kind="incremental")
+                _VIEW_EVENTS.inc(len(deltas), kind="batched")
+                self._document = document
+                self._result = self._result.union(change)
+            else:
+                for delta in deltas:
+                    self.apply(delta)
+            recomputed = self._recomputes > recomputes
+            obs.done(
+                self._result, method="ivm-recompute" if recomputed else "ivm-incremental"
             )
-        document = apply_sequence(self._document, deltas)
-        self._applies += len(deltas)
-        self._incremental += len(deltas)
-        self._batched += len(deltas)
-        _VIEW_EVENTS.inc(len(deltas), kind="applies")
-        _VIEW_EVENTS.inc(len(deltas), kind="incremental")
-        _VIEW_EVENTS.inc(len(deltas), kind="batched")
-        self._document = document
-        self._result = self._result.union(change)
         return self._result
 
     def refresh(self) -> Any:
@@ -293,32 +294,32 @@ class MaterializedView:
                     delta.insertions(), self._document, new_document, self._env
                 )
                 return self._result.union(change), None
-            if plan.classification != LINEAR:
-                return None, f"{plan.classification} plan with deletions"
             if not self.semiring.supports_subtraction:
                 return None, f"{self.semiring.name} has no subtraction"
-            diff_change = plan.evaluate_diff(delta.as_diff_forest(), self._lifted_env())
-            return self._merge_diff(diff_change), None
+            # The counting split, insertions first: with U = D + d+ and
+            # new_document = D'' = U - d-, Q(U) = Q(D) + g(d+; old=D, new=U)
+            # and Q(D'') = Q(U) - g(d-; old=D'', new=U).
+            insertions = delta.insertions()
+            result, union = self._result, self._document
+            if not insertions.is_empty():
+                # U is built only when the plan reads a document.
+                union = (
+                    self._document.union(insertions)
+                    if plan.needs_old or plan.needs_new
+                    else None
+                )
+                result = result.union(
+                    plan.evaluate_insertions(insertions, self._document, union, self._env)
+                )
+            removed = plan.evaluate_insertions(
+                delta.deletions(), new_document, union, self._env
+            )
+            return self._subtract(result, removed), None
         except IVMError as error:
             return None, str(error)
 
-    def _lifted_env(self) -> dict[str, Any]:
-        """The constant environment lifted into ``Diff(K)`` (computed once)."""
-        if self._diff_env is None:
-            diff = diff_of(self.semiring)
-            lifted: dict[str, Any] = {}
-            for name, value in self._env.items():
-                if isinstance(value, KSet):
-                    lifted[name] = lift_forest(value, diff)
-                elif isinstance(value, UTree):
-                    lifted[name] = lift_tree(value, diff)
-                else:
-                    lifted[name] = value
-            self._diff_env = lifted
-        return self._diff_env
-
-    def _merge_diff(self, diff_change: KSet) -> KSet:
-        """Fold a ``Diff(K)`` result change into the cached ``K`` result.
+    def _subtract(self, result: KSet, removed: KSet) -> KSet:
+        """``result`` minus ``removed``, member by member.
 
         Replacement readings are *not* allowed here: a result annotation
         aggregates many members' contributions, so a removal weight that
@@ -327,26 +328,24 @@ class MaterializedView:
         recomputes).
         """
         semiring = self.semiring
-        diff = diff_of(semiring)
         zero = semiring.normalize(semiring.zero)
-        merged = {value: annotation for value, annotation in self._result.items()}
-        for value, pair in diff_change.items():
-            lowered = lower_value(value, diff)
+        remaining = dict(result.items())
+        for value, annotation in removed.items():
             updated = combine_change(
                 semiring,
-                merged.get(lowered, zero),
-                pair.pos,
-                pair.neg,
-                lowered,
+                remaining.get(value, zero),
+                zero,
+                annotation,
+                value,
                 allow_replacement=False,
             )
             if semiring.is_zero(updated):
-                merged.pop(lowered, None)
+                remaining.pop(value, None)
             else:
-                merged[lowered] = semiring.normalize(updated)
+                remaining[value] = semiring.normalize(updated)
         if not semiring.ops_preserve_normal_form:
-            return KSet(semiring, merged)
-        return KSet._from_normalized(semiring, merged)
+            return KSet(semiring, remaining)
+        return KSet._from_normalized(semiring, remaining)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,10 +14,9 @@ as the formal difference ``pos - neg``, with
 These pairwise operations make ``Diff(K)`` a commutative semiring for *every*
 commutative semiring ``K`` (it is the group algebra ``K[Z/2]``), so the whole
 K-set / NRC_K / compiled-evaluation machinery — which is parameterized by the
-semiring — runs over ``Diff(K)`` unchanged.  A query plan compiled over
-``Diff(K)`` and evaluated on a delta whose annotations carry both inserted
-(``pos``) and deleted (``neg``) weight yields, in one pass, exactly the pair
-of "what to add" and "what to take away" for every member of the result.
+semiring — runs over ``Diff(K)`` unchanged.  IVM uses the pairs as the
+payload of a delta (and of its WAL record) and evaluates the two parts
+separately in ``K`` (:mod:`repro.ivm.view`).
 
 Equality is **pairwise**, not difference-equivalence: ``(a + c, c)`` and
 ``(a, 0)`` are distinct elements.  Deciding difference-equivalence requires

@@ -1,15 +1,15 @@
-"""Delta semantics: construction, composition, application, lift/lower."""
+"""Delta semantics: construction, composition, projections, application."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import IVMError
-from repro.ivm import Delta, lift_forest, lower_value
+from repro.ivm import Delta
 from repro.kcollections import KSet
 from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, DiffPair, diff_of, variables
 from repro.uxml.tree import forest, leaf
-from repro.workloads import random_forest, random_tree
+from repro.workloads import random_forest
 
 
 def _doc(semiring, seed=11):
@@ -65,16 +65,6 @@ class TestProjections:
         assert delta.insertions() == KSet(NATURAL, [(a, 2)])
         assert delta.deletions() == KSet(NATURAL, [(a, 1), (b, 3)])
 
-    def test_as_diff_forest_lifts_members(self):
-        tree = random_tree(NATURAL, depth=3, fanout=2, seed=3)
-        delta = Delta.insertion(NATURAL, tree, 2)
-        diff_forest = delta.as_diff_forest()
-        assert diff_forest.semiring == diff_of(NATURAL)
-        (member,) = diff_forest.values()
-        assert diff_forest.annotation(member) == DiffPair(2, 0)
-        # Nested annotations are lifted, and lowering restores the original.
-        assert lower_value(member, diff_of(NATURAL)) == tree
-
 
 class TestApplication:
     def test_insert_new_and_existing_members(self):
@@ -119,19 +109,3 @@ class TestApplication:
     def test_empty_delta_returns_document_unchanged(self):
         document = _doc(NATURAL)
         assert Delta(NATURAL).apply_to(document) is document
-
-
-class TestLiftLower:
-    @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE, BOOLEAN], ids=lambda s: s.name)
-    def test_lift_forest_round_trips(self, semiring):
-        document = _doc(semiring)
-        diff = diff_of(semiring)
-        lifted = lift_forest(document, diff)
-        assert lifted.semiring == diff
-        assert lower_value(lifted, diff) == document
-
-    def test_lower_rejects_negative_nested_annotation(self):
-        diff = diff_of(NATURAL)
-        poisoned = KSet(diff, [(leaf(NATURAL, "a"), DiffPair(1, 1))])
-        with pytest.raises(IVMError, match="negative part"):
-            lower_value(poisoned, diff)

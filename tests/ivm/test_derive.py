@@ -116,8 +116,19 @@ class TestDeltaEvaluation:
         change = plan.evaluate_insertions(addition, DOC, DOC.union(addition))
         assert old.union(change) == new
 
-    def test_diff_evaluation_rejected_for_bilinear(self):
+    def test_removal_identity_on_a_bilinear_plan(self):
+        # What removing d- takes away is what inserting it into the
+        # remainder adds: Q(D'') + g(d-; old=D'', new=D) == Q(D).
         plan = _plan("for $x in $S, $y in $S where $x = $y return ($x)")
-        delta = Delta.from_insertions(NATURAL, random_forest(NATURAL, 1, 2, 2, seed=1))
-        with pytest.raises(IVMError, match="bilinear"):
-            plan.evaluate_diff(delta.as_diff_forest())
+        assert plan.classification == BILINEAR
+        prepared = plan.prepared
+        first, second = sorted(DOC.values(), key=repr)[:2]
+        delta = Delta.deletion(NATURAL, first, DOC.annotation(first)) | Delta.deletion(
+            NATURAL, second, 1
+        )
+        remaining = delta.apply_to(DOC)
+        change = plan.evaluate_insertions(delta.deletions(), remaining, DOC)
+        assert not change.is_empty()
+        assert prepared.evaluate({"S": remaining}).union(change) == prepared.evaluate(
+            {"S": DOC}
+        )

@@ -16,7 +16,7 @@ from repro.ivm import (
     MaterializedView,
     materialize,
 )
-from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, standard_semirings
+from repro.semirings import BOOLEAN, NATURAL, PROVENANCE, DiffPair, standard_semirings
 from repro.semirings.polynomial import Polynomial
 from repro.uxquery import prepare_query
 from repro.workloads import random_forest, random_tree
@@ -27,6 +27,8 @@ REGISTRY_SEMIRINGS = list(standard_semirings())
 LINEAR_QUERY = "($S)//c"
 BILINEAR_QUERY = "for $x in $S, $y in $S where $x = $y return ($x)/*"
 NON_INCREMENTAL_QUERY = "element out { ($S)/* }"
+#: A self-join whose two sides read the document differently.
+CHILD_JOIN_QUERY = "for $x in $S, $y in ($S)/* where $x = $y return $y"
 
 
 def _annotations(semiring, rng):
@@ -75,7 +77,7 @@ class TestExactEquivalence:
         assert view.stats().applies == 12
 
     @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE], ids=lambda s: s.name)
-    def test_deletions_round_trip_through_diff(self, semiring):
+    def test_deletions_are_maintained_incrementally(self, semiring):
         """Cancellative semirings maintain deleting updates *incrementally*."""
         rng = random.Random(7)
         document = random_forest(semiring, num_trees=6, depth=3, fanout=2, seed=29)
@@ -87,6 +89,42 @@ class TestExactEquivalence:
         stats = view.stats()
         assert stats.recomputes == 0, "N / N[X] must never fall back on this stream"
         assert stats.incremental == 10
+
+    @pytest.mark.parametrize("semiring", [NATURAL, PROVENANCE], ids=lambda s: s.name)
+    @pytest.mark.parametrize("query", [BILINEAR_QUERY, CHILD_JOIN_QUERY])
+    def test_self_joins_maintain_deletions_without_recomputing(self, semiring, query):
+        """The counting split keeps bilinear plans incremental under
+        deletions and re-annotations."""
+        rng = random.Random(5)
+        document = random_forest(semiring, num_trees=5, depth=3, fanout=2, seed=17)
+        prepared = prepare_query(query, semiring, {"S": document})
+        view = prepared.materialize(document)
+        assert view.classification == BILINEAR
+        deleting = 0
+        for _ in range(40):
+            delta = _random_delta(semiring, view.document, rng)
+            deleting += not delta.is_insert_only()
+            assert view.apply(delta) == prepared.evaluate({"S": view.document})
+        assert deleting >= 20
+        stats = view.stats()
+        assert stats.recomputes == 0
+        assert stats.incremental == 40
+
+    @pytest.mark.parametrize("query", [LINEAR_QUERY, BILINEAR_QUERY])
+    def test_change_removing_more_than_held_but_adding_it_back(self, query):
+        """``DiffPair(cur + 2, cur + 1)`` takes away more of a member than
+        it holds; insertions go first, so it stays incremental and exact."""
+        document = random_forest(NATURAL, num_trees=5, depth=3, fanout=2, seed=23)
+        prepared = prepare_query(query, NATURAL, {"S": document})
+        view = prepared.materialize(document)
+        tree = next(iter(document))
+        current = document.annotation(tree)
+        view.apply(Delta(NATURAL, [(tree, DiffPair(current + 2, current + 1))]))
+        assert view.document.annotation(tree) == current + 1
+        assert view.result == prepared.evaluate({"S": view.document})
+        stats = view.stats()
+        assert stats.recomputes == 0
+        assert stats.incremental == 1
 
     def test_partial_deletion_is_exact_over_n(self):
         document = random_forest(NATURAL, num_trees=4, depth=2, fanout=2, seed=3)
@@ -185,11 +223,10 @@ class TestViewBehavior:
         assert view.result == prepared.evaluate({"S": view.document, "T": constant})
         assert view.stats().recomputes == 0
 
-    def test_env_forest_inside_the_delta_plan_is_lifted(self):
+    def test_env_forest_inside_the_delta_plan_weights_removals(self):
         # `for $x in $T return $S` is linear in $S but its *delta plan*
-        # still iterates the constant $T — the Diff(K) path must evaluate
-        # with the environment lifted, multiplying every delta pair by the
-        # lifted annotations of $T.
+        # still iterates the constant $T: what a deletion takes away is the
+        # removed members scaled by the annotations of $T.
         document = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=30)
         constant = random_forest(NATURAL, num_trees=3, depth=2, fanout=2, seed=31)
         prepared = prepare_query(
@@ -294,17 +331,21 @@ class TestCodegenDeltaPlans:
         assert view.result == prepared.evaluate({"S": view.document})
         assert view.stats().incremental == 1
 
-    def test_diff_compilation_also_goes_through_codegen(self):
-        from repro.nrc.codegen import CodegenProgram
-
+    def test_deletion_runs_the_generated_k_program(self):
         document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=33)
         prepared = prepare_query("($S)/*/*", NATURAL, {"S": document})
         view = prepared.materialize(document)
-        victim = next(iter(view.document))
+        generated = view.plan.generated
+        assert generated is not None
+        victim, survivor = sorted(view.document.values(), key=repr)[:2]
+        before = generated.calls
         view.apply(Delta.deletion(NATURAL, victim, view.document.annotation(victim)))
+        assert generated.calls == before + 1  # the removals only
+        current = view.document.annotation(survivor)
+        view.apply(Delta.reannotation(NATURAL, survivor, current, current + 2))
+        assert generated.calls == before + 3  # insertions, then removals
         assert view.result == prepared.evaluate({"S": view.document})
         assert view.stats().recomputes == 0
-        assert isinstance(view.plan.compiled_diff, CodegenProgram)
 
     def test_srt_delta_plans_fall_back_to_closures(self):
         document = random_forest(NATURAL, num_trees=4, depth=3, fanout=2, seed=34)

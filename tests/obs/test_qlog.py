@@ -30,6 +30,13 @@ from repro.workloads import random_forest
 
 QUERY = "($S)/*/*"
 
+#: One view query per maintenance classification.
+IVM_VIEWS = {
+    "linear": "($S)/*",
+    "bilinear": "for $x in $S, $y in $S where $x = $y return ($x)/*",
+    "non-incremental": "element out { ($S)/* }",
+}
+
 
 @pytest.fixture(autouse=True)
 def _clean_qlog():
@@ -313,23 +320,34 @@ class TestOneRecordPerUserCall:
             records = qlog.recent_records()
         assert records == []
 
-    def test_ivm_apply_owns_its_record(self):
+    @pytest.mark.parametrize("classification", list(IVM_VIEWS))
+    @pytest.mark.parametrize("entry", ["apply", "apply_many"])
+    def test_ivm_apply_owns_its_record(self, entry, classification):
         from repro.ivm import Delta
         from repro.uxml import TreeBuilder
 
         builder = TreeBuilder(NATURAL)
         forest = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=9)
-        prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
+        prepared = prepare_query(IVM_VIEWS[classification], NATURAL, {"S": forest})
         view = prepared.materialize(forest, document_var="S")
-        delta = Delta.insertion(NATURAL, builder.tree("extra"), 1)
+        assert view.classification == classification
+        deltas = [
+            Delta.insertion(NATURAL, builder.tree(f"extra{index}"), 1)
+            for index in range(3)
+        ]
         with qlog.recording(True):
             qlog.clear_records()
-            view.apply(delta)
+            if entry == "apply":
+                view.apply(deltas[0])
+            else:
+                view.apply_many(deltas)
             records = qlog.recent_records()
         assert len(records) == 1
         assert records[0]["op"] == "ivm.apply"
-        assert records[0]["method"] in ("ivm-incremental", "ivm-recompute")
-        assert records[0]["classification"] == view.classification
+        assert records[0]["sig"] == prepared.signature
+        expected = "ivm-recompute" if classification == "non-incremental" else "ivm-incremental"
+        assert records[0]["method"] == expected
+        assert records[0]["classification"] == classification
 
     def test_nested_evaluate_under_an_armed_outer_site_writes_nothing(self):
         forest = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=10)
