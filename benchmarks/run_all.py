@@ -421,7 +421,7 @@ def measure_store(quick: bool) -> dict:
     import tempfile
 
     from repro.ivm import Delta
-    from repro.store import DocumentStore
+    from repro.store import DocumentStore, split_navigation
     from repro.uxquery.ast import Step
     from repro.workloads import random_tree
 
@@ -457,6 +457,40 @@ def measure_store(quick: bool) -> dict:
         f"indexed {indexed_s * 1e6:9.1f}us  "
         f"speedup {pushdown['speedup_indexed_vs_scan']:6.2f}x  "
         f"(served: {pushdown['speedup_served_vs_scan']:6.2f}x)"
+    )
+
+    # Two chains over $S: navigated one by one on the raw index path, then
+    # combined by the residual, against evaluating the plan single-shot.
+    multi_query = "element out { ($S/a, $S//c) }"
+    multi_prepared = prepare_query(multi_query, PROVENANCE, {"S": forest})
+    split = split_navigation(multi_prepared.core, "S")
+    residual = prepare_query(
+        split.residual, PROVENANCE, env_types={name: "forest" for name, _ in split.chains}
+    )
+
+    def multi_navigated():
+        return residual.evaluate(
+            {name: index.navigate(steps, use_cache=False) for name, steps in split.chains}
+        )
+
+    multi_expected = multi_prepared.evaluate({"S": forest})
+    if multi_navigated() != multi_expected or store.query(multi_query) != multi_expected:
+        raise SystemExit("store_multi_chain: navigated and single-shot answers disagree")
+    single_shot_s = _time_call(lambda: multi_prepared.evaluate({"S": forest}), repetitions)
+    navigated_s = _time_call(multi_navigated, repetitions)
+    multi_chain = {
+        "query": multi_query,
+        "chains": len(split.chains),
+        "single_shot_s": single_shot_s,
+        "navigated_s": navigated_s,
+        "speedup_navigated_vs_single_shot": (
+            single_shot_s / navigated_s if navigated_s else float("inf")
+        ),
+    }
+    print(
+        f"{'store_multi_chain':32s} single-shot {single_shot_s * 1e6:9.1f}us  "
+        f"navigated {navigated_s * 1e6:9.1f}us  "
+        f"speedup {multi_chain['speedup_navigated_vs_single_shot']:6.2f}x"
     )
 
     num_updates = 6 if quick else 12
@@ -535,7 +569,12 @@ def measure_store(quick: bool) -> dict:
         f"384 trees {large_s * 1e3:8.2f}ms  "
         f"ratio {scaling['update_scaling_ratio']:6.2f}x"
     )
-    return {"pushdown": pushdown, "recovery": recovery, "update_scaling": scaling}
+    return {
+        "pushdown": pushdown,
+        "multi_chain": multi_chain,
+        "recovery": recovery,
+        "update_scaling": scaling,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +822,10 @@ def _flatten_metrics(report: dict) -> dict[str, float]:
         (store_section.get("pushdown") or {}).get("speedup_indexed_vs_scan"),
     )
     put(
+        "store/multi_chain_navigated_vs_single_shot",
+        (store_section.get("multi_chain") or {}).get("speedup_navigated_vs_single_shot"),
+    )
+    put(
         "store/recover_vs_rebuild",
         (store_section.get("recovery") or {}).get("speedup_recover_vs_rebuild"),
     )
@@ -908,7 +951,10 @@ def main() -> None:
             "(StructuralIndex.navigate, memo bypassed) and the full serving path "
             "(DocumentStore.query: plan cache + split memo + navigation cache) "
             "against the compiled evaluator scanning the same document, on the "
-            "figure-4 descendant workload; recovery times DocumentStore.open "
+            "figure-4 descendant workload; multi_chain navigates the two chains "
+            "of element out { ($S/a, $S//c) } on the raw index path and runs the "
+            "residual, against evaluating the plan single-shot on the same "
+            "forest; recovery times DocumentStore.open "
             "(snapshot + WAL-tail replay) against a cold in-memory rebuild of the "
             "same update history; all answers/states asserted equal before timing; "
             "update_scaling is the median single-member insert into an in-memory "

@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the flight-recorder event ring as JSONL",
         description="Dump the flight recorder (:mod:`repro.obs.events`): "
         "structured events emitted at operational decision points (IVM "
-        "recompute fallbacks, codegen declines, pushdown fallbacks, WAL "
-        "compactions, limit trips, fault injections).  By default prints "
+        "recompute fallbacks, codegen declines, WAL compactions, limit "
+        "trips, fault injections).  By default prints "
         "this process's in-memory ring; "
         "`--log FILE` reads a JSONL mirror written by another process via "
         "REPRO_EVENT_LOG, and `--follow` tails it.",
@@ -443,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operate a durable repro.store directory: documents are "
         "kept in shredded columnar form with structural indexes, every "
         "change is write-ahead-logged, and `compact` snapshots the columns. "
-        "Queries are served through navigation pushdown (index lookups for "
-        "the step-chain prefix) with exact single-shot fallback.",
+        "Every query and view is served through navigation pushdown: each "
+        "step chain over the document is looked up in the indexes once, and "
+        "only the residual query around the chains is evaluated.",
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
 
@@ -479,10 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
         "query",
         help="run a K-UXQuery over a stored document (navigation pushed to indexes)",
         description="Evaluate QUERY with the stored document bound to $VAR.  "
-        "The navigation prefix ($S/a//b chains) is answered from the "
-        "structural indexes when recognized — exactly equal to single-shot "
-        "evaluation, which also serves as the fallback.  --stats shows how "
-        "the query was served (pushdown vs fallback) and the plan cache counters.",
+        "Each step chain over $VAR ($S/a//b, or $S itself) is answered from "
+        "the structural indexes, and only the residual query around the "
+        "chains is evaluated — exactly equal to single-shot evaluation.  "
+        "--stats shows how the query was served (index-only or with a "
+        "residual) and the plan cache counters.",
     )
     store_query.add_argument("--dir", "-d", required=True, help="store directory")
     store_query.add_argument("--query", "-q", required=True, help="K-UXQuery text, or @file to read it from a file")

@@ -19,11 +19,11 @@ query's plan.  Text and AST forms of the same query therefore occupy two
 cache entries; callers that want sharing should pick one form.
 The evaluation ``method`` is deliberately **not** part of the key: a
 :class:`PreparedQuery` carries every evaluation method — including
-the source-generated ``nrc-codegen`` program, produced once at prepare time —
+the source-generated ``nrc-codegen`` program, produced once on first use —
 so one compile serves ``nrc-codegen``, ``nrc``, ``nrc-interp`` and
 ``direct`` callers alike.
 Concurrent misses on the same key are coalesced so only the first caller
-compiles while the others block on the in-flight compilation and share its
+prepares while the others block on the in-flight preparation and share its
 result.  Hit / miss / eviction / compile counts are tracked for
 observability (:meth:`PlanCache.stats`).
 

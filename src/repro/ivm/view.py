@@ -105,7 +105,14 @@ class MaterializedView:
         document: KSet,
         env: Mapping[str, Any] | None = None,
         var: str | None = None,
+        result: Any = None,
     ):
+        """Materialize ``prepared`` over ``document``.
+
+        ``result``, when given, must equal evaluating ``prepared`` on
+        ``document`` (the store computes it from its indexes); otherwise
+        the plan is evaluated here.
+        """
         if not isinstance(document, KSet):
             raise IVMError(f"materialized views need a K-set document, got {document!r}")
         if document.semiring != prepared.semiring:
@@ -123,7 +130,9 @@ class MaterializedView:
         self.plan = DeltaPlan(prepared, var)
         self._env = {name: value for name, value in (env or {}).items() if name != var}
         self._document = document
-        self._result = prepared.evaluate(self._bindings(document))
+        self._result = (
+            prepared.evaluate(self._bindings(document)) if result is None else result
+        )
         self._applies = 0
         self._incremental = 0
         self._recomputes = 0
@@ -160,31 +169,17 @@ class MaterializedView:
     def apply(self, delta: Delta) -> Any:
         """Apply one delta; returns the (exactly maintained) new result."""
         self._check_delta(delta)
-        new_document = delta.apply_to(self._document)
-        # Counted only once the delta is known to be applicable: a failed
-        # apply leaves the stats (and the view) untouched.
-        self._applies += 1
-        _VIEW_EVENTS.inc(kind="applies")
         with observe(
             "ivm.apply", self.prepared, classification=self.plan.classification
         ) as obs:
-            maintained, fallback_reason = self._try_incremental(delta, new_document)
-            if maintained is None:
-                self._recomputes += 1
-                _VIEW_EVENTS.inc(kind="recomputes")
-                obs.annotate(maintenance="recompute", reason=fallback_reason)
-                emit("ivm.recompute", reason=fallback_reason,
-                     classification=self.plan.classification)
-                maintained = self.prepared.evaluate(self._bindings(new_document))
-                obs.done(maintained, method="ivm-recompute")
-            else:
-                self._incremental += 1
-                _VIEW_EVENTS.inc(kind="incremental")
+            reason = self._maintain(delta)
+            if reason is None:
                 obs.annotate(maintenance="incremental")
-                obs.done(maintained, method="ivm-incremental")
-        self._document = new_document
-        self._result = maintained
-        return maintained
+                obs.done(self._result, method="ivm-incremental")
+            else:
+                obs.annotate(maintenance="recompute", reason=reason)
+                obs.done(self._result, method="ivm-recompute")
+        return self._result
 
     def apply_many(self, deltas: Iterable[Delta]) -> Any:
         """Apply a stream of deltas, batching the insert-only linear case.
@@ -195,10 +190,10 @@ class MaterializedView:
         :meth:`~repro.exec.batch.BatchEvaluator.evaluate_merged` call (the
         delta K-sets play the role of the documents) and merged into the
         view once.  A non-incremental plan folds the stream into one
-        recomputation; anything else runs :meth:`apply` per delta.  The
-        whole call is one ``ivm.apply`` scope, so it writes one query-log
-        record, whose ``method`` is ``ivm-recompute`` if any recomputation
-        ran.
+        recomputation; anything else maintains the view delta by delta, as
+        :meth:`apply` does.  The whole call is one ``ivm.apply`` scope, so it
+        writes one query-log record and one span, whose ``method`` and
+        ``maintenance`` say ``recompute`` if any recomputation ran.
         """
         deltas = list(deltas)
         for delta in deltas:
@@ -249,7 +244,10 @@ class MaterializedView:
                 self._result = self._result.union(change)
             else:
                 for delta in deltas:
-                    self.apply(delta)
+                    self._maintain(delta)
+                obs.annotate(
+                    maintenance="recompute" if self._recomputes > recomputes else "incremental"
+                )
             recomputed = self._recomputes > recomputes
             obs.done(
                 self._result, method="ivm-recompute" if recomputed else "ivm-incremental"
@@ -264,6 +262,30 @@ class MaterializedView:
         return self._result
 
     # ---------------------------------------------------------------- internals
+    def _maintain(self, delta: Delta) -> str | None:
+        """Apply one checked delta to the document and the result.
+
+        Returns why the result was recomputed, or ``None`` when the delta
+        plan maintained it.
+        """
+        new_document = delta.apply_to(self._document)
+        # Counted only once the delta is known to be applicable: a failed
+        # apply leaves the stats (and the view) untouched.
+        self._applies += 1
+        _VIEW_EVENTS.inc(kind="applies")
+        maintained, reason = self._try_incremental(delta, new_document)
+        if maintained is None:
+            self._recomputes += 1
+            _VIEW_EVENTS.inc(kind="recomputes")
+            emit("ivm.recompute", reason=reason, classification=self.plan.classification)
+            maintained = self.prepared.evaluate(self._bindings(new_document))
+        else:
+            self._incremental += 1
+            _VIEW_EVENTS.inc(kind="incremental")
+        self._document = new_document
+        self._result = maintained
+        return reason
+
     def _bindings(self, document: KSet) -> dict[str, Any]:
         bindings = dict(self._env)
         bindings[self.var] = document

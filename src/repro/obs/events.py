@@ -71,7 +71,6 @@ DEFAULT_RING_CAPACITY = 512
 EVENT_CATALOG: dict[str, str] = {
     "ivm.recompute": "view maintenance fell back to full recomputation",
     "codegen.decline": "source codegen declined an expression (closure fallback)",
-    "store.pushdown_fallback": "navigation pushdown declined; single-shot fallback",
     "store.wal_compact": "a store snapshotted its columns and truncated the WAL",
     "limits.timeout": "an evaluation exceeded its time budget (QueryTimeoutError)",
     "limits.budget": "an evaluation exceeded a row/byte budget (BudgetExceededError)",

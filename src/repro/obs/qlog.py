@@ -23,8 +23,8 @@ flight recorder uses too) and, when capture is armed, a size-rotated JSONL
 file that ``repro replay`` can re-run and ``repro report`` can aggregate
 offline.  Records are keyed by the **plan signature**
 (:func:`repro.uxquery.engine.plan_signature`): a stable hash of the
-simplified NRC form, the semiring name and the env types, computed once at
-prepare time.  Equal plans hash equally across processes, so per-signature
+simplified NRC form, the semiring name and the env types, computed once per
+plan, when first read.  Equal plans hash equally across processes, so per-signature
 aggregations (latency histograms, the ``/debug/queries`` endpoint, the
 capture-vs-replay report) line up between a capture run, its replay, and a
 scraped production process.

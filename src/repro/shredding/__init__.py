@@ -10,12 +10,13 @@ from repro.shredding.shred import (
     shred_tree,
     unshred,
 )
-from repro.shredding.xpath_to_datalog import (
-    apply_step_datalog,
-    evaluate_xpath_via_datalog,
-    path_programs,
-    step_program,
-)
+
+#: The Datalog translation loads on first use: it pulls in
+#: :mod:`repro.relational`, which shredding a stored document does not need.
+_LAZY = {
+    name: "repro.shredding.xpath_to_datalog"
+    for name in ("apply_step_datalog", "evaluate_xpath_via_datalog", "path_programs", "step_program")
+}
 
 __all__ = [
     "ROOT_PID",
@@ -31,3 +32,14 @@ __all__ = [
     "apply_step_datalog",
     "evaluate_xpath_via_datalog",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value

@@ -13,13 +13,15 @@ same clean-up step).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Tuple
 
 from repro.errors import ShreddingError
 from repro.kcollections.kset import KSet
-from repro.relational.krelation import KRelation
 from repro.semirings.base import Semiring
 from repro.uxml.tree import UTree
+
+if TYPE_CHECKING:  # the store shreds without loading repro.relational
+    from repro.relational.krelation import KRelation
 
 __all__ = [
     "ROOT_PID",
@@ -156,6 +158,8 @@ def shred_tree(tree: UTree, annotation: Any | None = None) -> EdgeFacts:
 
 def edge_relation(facts: Mapping[Tuple[Any, Any, str], Any], semiring: Semiring) -> KRelation:
     """Package edge facts as the K-relation ``E(pid, nid, label)``."""
+    from repro.relational.krelation import KRelation
+
     return KRelation(semiring, EDGE_ATTRIBUTES, dict(facts))
 
 
@@ -191,10 +195,8 @@ def unshred(
     their annotations added, which is exactly the K-set semantics of the
     direct data model.
     """
-    if isinstance(facts, KRelation):
-        table: Mapping[Tuple[Any, Any, str], Any] = {row: ann for row, ann in facts.items()}
-    else:
-        table = facts
+    # A K-relation is not a mapping; its items() are the same pairs.
+    table = facts if isinstance(facts, Mapping) else dict(facts.items())
     live = reachable_facts(table, semiring)
     children_of: dict[Any, list[Tuple[Any, Any, str]]] = {}
     for key in live:

@@ -17,9 +17,10 @@ Six cooperating pieces
   root-to-node prefix products.  An update replaces only the blocks of the
   members it touches.
 * :mod:`repro.store.pushdown` — :func:`split_navigation` /
-  :class:`PushdownExecutor`: statically recognize the step-chain prefix of a
-  prepared plan, serve it from the indexes, and evaluate only the residual
-  fragment — with single-shot fallback whenever the recognizer declines.
+  :class:`PushdownExecutor`: split a prepared plan into its step chains over
+  the document variable and a residual, serve each chain from the indexes,
+  and evaluate only the residual fragment.  Every query and every view
+  materialization is served this way.
 * :mod:`repro.store.wal` / :mod:`repro.store.snapshot` — durability: an
   append-only JSONL write-ahead log of store operations (deltas as the
   update records) plus atomic snapshots of the shredded columns; recovery is
@@ -53,10 +54,9 @@ ingest|query|update|compact|stats``, plus ``python -m repro fsck``.
 
 from repro.errors import IntegrityError, StoreError
 from repro.store.columns import ShreddedColumns
-from repro.store.fsck import FsckReport, fsck_store, verify_artifacts
 from repro.store.index import StructuralIndex
 from repro.store.pushdown import (
-    NAV_VAR,
+    NAV_PREFIX,
     NavigationSplit,
     PushdownExecutor,
     split_navigation,
@@ -73,7 +73,7 @@ __all__ = [
     "fsck_store",
     "verify_artifacts",
     "StructuralIndex",
-    "NAV_VAR",
+    "NAV_PREFIX",
     "NavigationSplit",
     "PushdownExecutor",
     "split_navigation",
@@ -87,3 +87,20 @@ __all__ = [
     "StoredDocument",
     "StoreStats",
 ]
+
+#: ``repro fsck`` and the readiness probe load on first use: opening and
+#: querying a store does not need them.
+_LAZY = {
+    name: "repro.store.fsck" for name in ("FsckReport", "fsck_store", "verify_artifacts")
+}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value

@@ -136,13 +136,27 @@ class ShreddedColumns:
         """A JSON-serializable snapshot of the columns.
 
         ``pid``/``nid``/``label`` are JSON-native (integers and strings by
-        construction); the annotation column goes through the pickle codec.
+        construction); the annotation column goes through the pickle codec
+        once per distinct annotation, since a column holds few: a row's text
+        is the encoding of the first equal value of the same type, so it
+        decodes to a value equal to the row's.
         """
+        texts: dict = {}
+        annot = []
+        for annotation in self.annot:
+            key = (type(annotation), annotation)
+            try:
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = encode_obj(annotation)
+            except TypeError:  # an unhashable value: encode it on its own
+                text = encode_obj(annotation)
+            annot.append(text)
         return {
             "pid": list(self.pid),
             "nid": list(self.nid),
             "label": list(self.label),
-            "annot": [encode_obj(annotation) for annotation in self.annot],
+            "annot": annot,
         }
 
     @classmethod
@@ -151,7 +165,13 @@ class ShreddedColumns:
             pid = tuple(payload["pid"])
             nid = tuple(payload["nid"])
             label = tuple(payload["label"])
-            annot = tuple(decode_obj(text) for text in payload["annot"])
+            decoded: dict = {}  # each distinct text is decoded once
+            for text in payload["annot"]:
+                if text not in decoded:
+                    decoded[text] = decode_obj(text)
+            annot = tuple(decoded[text] for text in payload["annot"])
         except KeyError as error:
             raise StoreError(f"snapshot payload is missing column {error}") from error
+        except TypeError as error:
+            raise StoreError(f"corrupt stored value: {error}") from error
         return cls(semiring, pid, nid, label, annot)

@@ -1,4 +1,4 @@
-"""Navigation pushdown: serve the step-chain prefix of a plan from indexes.
+"""Navigation pushdown: serve every step chain of a plan from indexes.
 
 A stored document is queried through a compiled
 :class:`~repro.uxquery.engine.PreparedQuery`, but most query shapes start by
@@ -7,33 +7,33 @@ navigation is exactly what the structural indexes answer without touching
 the rest of the document.  This module splits a prepared query's core form
 into
 
-* a **navigation prefix**: the unique downward step chain applied to the
-  document variable (possibly empty — a bare ``$S`` occurrence), and
-* a **residual query**: the core form with every occurrence of that chain
-  replaced by a fresh forest variable.
+* its **navigations**: each distinct downward step chain applied to the
+  document variable (possibly empty — a bare ``$S`` occurrence is the whole
+  document), and
+* a **residual query**: the core form with every occurrence of a chain
+  replaced by that chain's own forest variable, ``$__nav0``, ``$__nav1``,
+  ... (named fresh for the query: the first names it does not use).
 
-The split is *exact by construction*: the replaced subexpression's value is
-computed once (from the indexes, whose step semantics agree with the
+``element out { ($S/a, $S//c) }`` navigates ``$S/a`` and ``$S//c`` once
+each and evaluates ``element out { ($__nav0, $__nav1) }``; serving several
+chains from one index and combining their results in a residual is the
+structural-join setting (Al-Khalifa et al., "Structural Joins", ICDE 2002).
+
+The split is *exact by construction*: each replaced subexpression's value
+is computed once (from the indexes, whose step semantics agree with the
 direct/NRC/Datalog semantics for every registry semiring — see
 :mod:`repro.store.index`) and substituted for a free subexpression, which is
-just compositional evaluation.  What is *gated statically* is whether the
-split applies at all:
+just compositional evaluation.  The only static condition is that every
+free occurrence of the document variable heads some chain, and every core
+form meets it, because a bare variable is the empty chain.  So every query
+is served this way: a query whose residual is one chain's variable is
+answered by the indexes alone (a *full pushdown*), and a query that never
+mentions the document variable is a residual with no navigation.
 
-* every free occurrence of the document variable must be the source of the
-  **same** step chain (mixed chains such as ``($S/a, $S//b)`` fall back);
-* only downward axes appear in a chain (guaranteed by the language);
-* the reserved residual variable must not already occur in the query.
-
-When the recognizer declines, the store transparently **falls back to the
-single-shot path** — evaluating the unmodified prepared plan against the
-stored forest — so pushdown can never change a result, only its cost.
-Recognition, pushdown and fallback counts are reported in the store stats.
-
-Residual plans (and the single-shot fallback) compile through the store's
-plan cache and therefore through the engine's full two-stage pipeline: the
-residual executes as source-generated bytecode (``nrc-codegen``) whenever it
-is straight-line, closures otherwise — observable on the plan's
-``generated.calls`` counter.
+Residual plans compile through the store's plan cache and therefore through
+the engine's full two-stage pipeline: the residual executes as
+source-generated bytecode (``nrc-codegen``) whenever it is straight-line,
+closures otherwise — observable on the plan's ``generated.calls`` counter.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from collections import OrderedDict
 from typing import Any, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import StoreError
-from repro.obs.events import emit
 from repro.obs.trace import span
 from repro.store.index import StructuralIndex
 from repro.uxquery.ast import (
@@ -64,22 +63,20 @@ from repro.uxquery.ast import (
 from repro.uxquery.engine import PreparedQuery
 from repro.uxquery.typecheck import FOREST
 
-__all__ = ["NAV_VAR", "NavigationSplit", "split_navigation", "PushdownExecutor"]
+__all__ = ["NAV_PREFIX", "NavigationSplit", "split_navigation", "PushdownExecutor"]
 
-#: The reserved variable the navigation result is bound to in residual plans.
-NAV_VAR = "__nav"
+#: Residual variables are this prefix plus a number: ``$__nav0``, ``$__nav1``.
+NAV_PREFIX = "__nav"
 
 
 class NavigationSplit(NamedTuple):
-    """A recognized navigation prefix and the residual query around it."""
+    """The navigations of a query and the residual query around them."""
 
-    steps: Tuple[Step, ...]
+    #: ``(residual variable, step chain)`` per distinct chain, in order of
+    #: first occurrence.
+    chains: Tuple[Tuple[str, Tuple[Step, ...]], ...]
     residual: Query
-    trivial: bool  # residual is exactly ``$__nav`` — no residual evaluation
-
-    def describe(self) -> str:
-        chain = "".join(f"/{step}" for step in self.steps) or "(whole document)"
-        return f"{chain} -> {self.residual}"
+    trivial: bool  # the residual is one chain's variable — no residual evaluation
 
 
 def _match_chain(query: Query, var: str, bound: frozenset) -> Optional[Tuple[Step, ...]]:
@@ -101,51 +98,53 @@ def _match_chain(query: Query, var: str, bound: frozenset) -> Optional[Tuple[Ste
     return None
 
 
-def split_navigation(core: Query, var: str) -> Optional[NavigationSplit]:
-    """Split ``core`` into one navigation chain over ``$var`` and a residual.
-
-    Returns ``None`` — meaning *fall back to single-shot evaluation* — when
-    the free occurrences of ``var`` are not all the source of one identical
-    chain, when ``var`` does not occur at all, or when the reserved residual
-    variable already appears in the query.
-    """
+def _fresh_names(core: Query):
+    """``__nav0``, ``__nav1``, ... skipping every variable ``core`` uses."""
+    used = set()
     for node in iter_query(core):
-        if isinstance(node, VarExpr) and node.name == NAV_VAR:
-            return None
-        if isinstance(node, (ForExpr, LetExpr)) and any(
-            name == NAV_VAR for name, _ in node.bindings
-        ):
-            return None
+        if isinstance(node, VarExpr):
+            used.add(node.name)
+        elif isinstance(node, (ForExpr, LetExpr)):
+            used.update(name for name, _ in node.bindings)
+    number = 0
+    while True:
+        name = f"{NAV_PREFIX}{number}"
+        if name not in used:
+            yield name
+        number += 1
 
-    chains: list[Tuple[Step, ...]] = []
+
+def split_navigation(core: Query, var: str) -> NavigationSplit:
+    """Split ``core`` into its step chains over ``$var`` and a residual.
+
+    Every free occurrence of ``$var`` heads a chain (at least the empty
+    one), so every core form splits; occurrences of one chain share one
+    residual variable.  Raises :class:`~repro.errors.StoreError` on a
+    surface form (a ``for`` with a ``where`` condition), which
+    normalization removes from every prepared plan.
+    """
+    names = _fresh_names(core)
+    chains: dict[Tuple[Step, ...], str] = {}
 
     def rewrite(query: Query, bound: frozenset) -> Query:
         chain = _match_chain(query, var, bound)
         if chain is not None:
-            chains.append(chain)
-            return VarExpr(NAV_VAR)
+            if chain not in chains:
+                chains[chain] = next(names)
+            return VarExpr(chains[chain])
         if isinstance(query, (LabelExpr, EmptySeq, VarExpr)):
             return query
         if isinstance(query, Sequence):
             return Sequence(tuple(rewrite(item, bound) for item in query.items))
-        if isinstance(query, ForExpr):
-            if query.condition is not None:
-                # Conditions are surface syntax; core forms have none.  Be
-                # conservative rather than rewriting inside one.
-                raise _Unsplittable
+        if isinstance(query, (ForExpr, LetExpr)):
+            if isinstance(query, ForExpr) and query.condition is not None:
+                raise StoreError(f"not a core form (a where condition): {query}")
             inner = bound
             bindings = []
             for name, expr in query.bindings:
                 bindings.append((name, rewrite(expr, inner)))
                 inner = inner | {name}
-            return ForExpr(tuple(bindings), rewrite(query.body, inner), None)
-        if isinstance(query, LetExpr):
-            inner = bound
-            bindings = []
-            for name, expr in query.bindings:
-                bindings.append((name, rewrite(expr, inner)))
-                inner = inner | {name}
-            return LetExpr(tuple(bindings), rewrite(query.body, inner))
+            return type(query)(tuple(bindings), rewrite(query.body, inner))
         if isinstance(query, IfEqExpr):
             return IfEqExpr(
                 rewrite(query.left, bound),
@@ -161,20 +160,13 @@ def split_navigation(core: Query, var: str) -> Optional[NavigationSplit]:
             return AnnotExpr(query.annotation, rewrite(query.expr, bound))
         if isinstance(query, PathExpr):
             return PathExpr(rewrite(query.source, bound), query.steps)
-        raise _Unsplittable
+        raise StoreError(f"not a core form: {query!r}")
 
-    try:
-        residual = rewrite(core, frozenset())
-    except _Unsplittable:
-        return None
-    if not chains or len(set(chains)) != 1:
-        return None
-    trivial = isinstance(residual, VarExpr) and residual.name == NAV_VAR
-    return NavigationSplit(chains[0], residual, trivial)
-
-
-class _Unsplittable(Exception):
-    """Internal: the core form contains a node the splitter does not model."""
+    residual = rewrite(core, frozenset())
+    trivial = len(chains) == 1 and residual == VarExpr(next(iter(chains.values())))
+    return NavigationSplit(
+        tuple((name, chain) for chain, name in chains.items()), residual, trivial
+    )
 
 
 class PushdownExecutor:
@@ -182,9 +174,8 @@ class PushdownExecutor:
 
     One executor per store: it memoizes the (plan, variable) -> split
     analysis, compiles residual plans through the store's plan cache, and
-    counts how queries were served (``pushdowns`` — served via the indexes,
-    of which ``full_pushdowns`` needed no residual evaluation at all — vs
-    ``fallbacks`` — the single-shot path).
+    counts the queries it served (``pushdowns``, of which
+    ``full_pushdowns`` needed no residual evaluation at all).
     """
 
     #: Bound on memoized split analyses (mirrors the plan cache it fronts —
@@ -193,27 +184,29 @@ class PushdownExecutor:
 
     def __init__(self, plan_cache):
         self._plan_cache = plan_cache
-        self._splits: "OrderedDict[tuple, Optional[NavigationSplit]]" = OrderedDict()
+        self._splits: "OrderedDict[tuple, NavigationSplit]" = OrderedDict()
         self.pushdowns = 0
         self.full_pushdowns = 0
-        self.fallbacks = 0
 
     # ---------------------------------------------------------------- analysis
-    def split_for(self, prepared: PreparedQuery, var: str) -> Optional[NavigationSplit]:
+    def split_for(self, prepared: PreparedQuery, var: str) -> NavigationSplit:
+        """The memoized split of ``prepared`` over the document ``$var``.
+
+        Raises :class:`~repro.errors.StoreError` when ``prepared`` types
+        ``$var`` as anything but a forest: a stored document is a forest.
+        """
+        kind = prepared.env_types.get(var, FOREST)
+        if kind != FOREST:
+            raise StoreError(f"${var} is typed {kind}; a stored document is a {FOREST}")
         # Keyed on the core AST itself (Query nodes hash/compare structurally):
         # distinct queries can share a rendering, so a string key could serve
-        # one query the split — and hence the residual — of another.  The
-        # declared type of the document variable is part of the key because
-        # the FOREST gate below depends on it.
-        key = (prepared.core, var, prepared.env_types.get(var), prepared.semiring)
-        if key in self._splits:
+        # one query the split — and hence the residual — of another.
+        key = (prepared.core, var)
+        split = self._splits.get(key)
+        if split is not None:
             self._splits.move_to_end(key)
-            return self._splits[key]
-        if var in prepared.env_types and prepared.env_types[var] != FOREST:
-            split = None  # a tree/label-typed document var
-        else:
-            split = split_navigation(prepared.core, var)
-        self._splits[key] = split
+            return split
+        split = self._splits[key] = split_navigation(prepared.core, var)
         while len(self._splits) > self.SPLIT_CACHE_SIZE:
             self._splits.popitem(last=False)
         return split
@@ -226,47 +219,52 @@ class PushdownExecutor:
         var: str,
         env: Mapping[str, Any] | None = None,
     ) -> Tuple[Any, str, Optional[PreparedQuery]]:
+        """Serve one query: :meth:`evaluate`, counted in the executor's stats."""
+        result, how, plan = self.evaluate(prepared, index, var, env)
+        self.pushdowns += 1
+        if how == "full-pushdown":
+            self.full_pushdowns += 1
+        return result, how, plan
+
+    def evaluate(
+        self,
+        prepared: PreparedQuery,
+        index: StructuralIndex,
+        var: str,
+        env: Mapping[str, Any] | None = None,
+    ) -> Tuple[Any, str, Optional[PreparedQuery]]:
         """Evaluate ``prepared`` over the stored document behind ``index``.
 
+        Navigates each chain of the split once, then runs the residual.
         Returns ``(result, how, plan)``.  The result is exactly
         ``prepared.evaluate({**env, var: document})`` for every query and
-        semiring.  ``how`` says how the call was served — ``"fallback"``
-        (single-shot, when the static split declines), ``"pushdown"``
-        (index-served prefix + residual) or ``"full-pushdown"`` (index
-        only) — and ``plan`` is the plan that ran: ``prepared`` itself, the
-        residual plan, or ``None`` for a full pushdown.
+        semiring.  ``how`` is ``"full-pushdown"`` when the indexes alone
+        answered (``plan`` is then ``None``) and ``"pushdown"`` when the
+        residual plan ``plan`` ran.
         """
         if prepared.semiring != index.semiring:
             raise StoreError(
                 f"query over {prepared.semiring.name} cannot run against a "
                 f"store over {index.semiring.name}"
             )
-        extra = {name: value for name, value in (env or {}).items() if name != var}
-        if NAV_VAR in extra:
-            raise StoreError(f"environment must not bind the reserved ${NAV_VAR}")
         with span("store.query.split", var=var):
             split = self.split_for(prepared, var)
-        if split is None:
-            self.fallbacks += 1
-            emit("store.pushdown_fallback", var=var, semiring=prepared.semiring.name)
-            with span("store.query.fallback"):
-                bindings = dict(extra)
-                bindings[var] = index.forest()
-                return prepared.evaluate(bindings), "fallback", prepared
-        with span("store.query.navigate", steps=len(split.steps)):
-            navigated = index.navigate(split.steps)
-        self.pushdowns += 1
+        navigated = {}
+        for name, steps in split.chains:
+            with span("store.query.navigate", steps=len(steps)):
+                navigated[name] = index.navigate(steps)
         if split.trivial:
-            self.full_pushdowns += 1
-            return navigated, "full-pushdown", None
+            return navigated[split.chains[0][0]], "full-pushdown", None
         with span("store.query.residual"):
+            # The residual variables are fresh for the query, so an
+            # environment binding under one of their names is unused by it.
             residual_types = {
                 name: kind for name, kind in prepared.env_types.items() if name != var
             }
-            residual_types[NAV_VAR] = FOREST
+            residual_types.update(dict.fromkeys(navigated, FOREST))
             residual_plan = self._plan_cache.get(
                 split.residual, prepared.semiring, env_types=residual_types
             )
-            bindings = dict(extra)
-            bindings[NAV_VAR] = navigated
+            bindings = {name: value for name, value in (env or {}).items() if name != var}
+            bindings.update(navigated)
             return residual_plan.evaluate(bindings), "pushdown", residual_plan

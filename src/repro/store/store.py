@@ -26,8 +26,8 @@ bit-identical in columns, annotations and registered view caches, for every
 registry semiring.
 
 Observability follows the ``cache-stats`` idiom: :meth:`DocumentStore.stats`
-snapshots ingest/update/query counters, pushdown-vs-fallback counts, WAL and
-snapshot activity; the per-store plan cache exposes its own
+snapshots ingest/update/query counters, pushdown counts, WAL and snapshot
+activity; the per-store plan cache exposes its own
 :class:`~repro.exec.plan_cache.CacheStats`.
 """
 
@@ -149,7 +149,14 @@ class StoredDocument:
 
 
 class StoreStats(NamedTuple):
-    """A consistent snapshot of a store's counters (``cache-stats`` style)."""
+    """A consistent snapshot of a store's counters (``cache-stats`` style).
+
+    ``pushdowns`` counts the queries served through the indexes — every
+    :meth:`DocumentStore.query` call; view materializations are not queries.
+    ``fallbacks`` always reads 0: no query is evaluated single-shot since
+    every plan splits.  It stays so ``repro store stats`` and the
+    ``repro_store_operations_total`` series keep their shape.
+    """
 
     documents: int
     views: int
@@ -417,10 +424,10 @@ class DocumentStore:
         """Evaluate a K-UXQuery over one stored document.
 
         The document is bound to ``$var``; extra bindings come from ``env``.
-        Plans compile once through the store's plan cache, and the navigation
-        prefix is served from the structural indexes whenever the static
-        split applies (single-shot fallback otherwise) — the result is
-        exactly ``prepared.evaluate({var: document, **env})`` either way.
+        Plans compile once through the store's plan cache.  Each distinct
+        step chain over ``$var`` is navigated once on the structural
+        indexes, and the residual plan combines the results — exactly
+        ``prepared.evaluate({var: document, **env})``.
         """
         stored = self.document(self._resolve_doc(doc_id))
         env_types = {var: FOREST}
@@ -490,9 +497,12 @@ class DocumentStore:
     def register_view(self, name: str, query: str, doc_id: str, var: str = "S") -> MaterializedView:
         """Materialize ``query`` over a stored document, maintained on update.
 
-        The definition is journaled (and snapshotted), so recovery rebuilds
-        the view and replays subsequent updates through its delta plan —
-        ending with a cache equal to the uninterrupted store's.
+        The initial result is served like a query, by navigating the
+        indexes and running the residual, never the view's own plan (it is
+        not counted as one in :meth:`stats`).  The definition is journaled
+        (and snapshotted), so recovery rebuilds the view the same way and
+        replays subsequent updates through its delta plan — ending with a
+        cache equal to the uninterrupted store's.
         """
         if name in self._views:
             raise StoreError(f"a view named {name!r} is already registered")
@@ -514,7 +524,17 @@ class DocumentStore:
             record.get("var", "S"),
         )
         prepared = self.plan_cache.get(query, self.semiring, env_types={var: FOREST})
-        view = MaterializedView(prepared, self.forest(doc_id), var=var)
+        stored = self.document(doc_id)
+        # One ``evaluate`` record in the view's own text, as evaluating its
+        # plan writes: the residual's ``$__nav`` text never reaches the log.
+        with observe(
+            "evaluate", prepared, method="nrc-codegen", semiring=self.semiring.name
+        ) as obs:
+            result, how, plan = self._pushdown.evaluate(prepared, stored.index, var)
+            obs.done(
+                result, method="index" if how == "full-pushdown" else "nrc-codegen", plan=plan
+            )
+        view = MaterializedView(prepared, stored.forest(), var=var, result=result)
         self._views[name] = view
         self._view_records[name] = {k: v for k, v in record.items() if k != "lsn"}
         return view
@@ -599,7 +619,7 @@ class DocumentStore:
             queries=self._queries,
             pushdowns=self._pushdown.pushdowns,
             full_pushdowns=self._pushdown.full_pushdowns,
-            fallbacks=self._pushdown.fallbacks,
+            fallbacks=0,
             wal_records=len(self._wal) if self._wal is not None else 0,
             snapshots=self._snapshots,
             recovered_records=self._recovered_records,

@@ -13,12 +13,29 @@ Two formats are supported:
 from __future__ import annotations
 
 from typing import Any
-from xml.sax.saxutils import escape, quoteattr
 
 from repro.kcollections.kset import KSet
 from repro.uxml.tree import UTree
 
 __all__ = ["to_paper_notation", "to_xml", "forest_to_xml"]
+
+
+# ``xml.sax.saxutils`` has both, but importing it loads ``urllib.request``,
+# ``http.client`` and ``email``, which every ``repro`` command would pay for.
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>``; byte-identical to ``xml.sax.saxutils.escape``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """Escape and quote an attribute value; byte-identical to
+    ``xml.sax.saxutils.quoteattr``."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _render_tree(tree: UTree, annotation_text: str | None) -> str:

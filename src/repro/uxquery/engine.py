@@ -15,7 +15,7 @@ test-suite checks this):
   axioms, and run the *source-generated* program (:mod:`repro.nrc.codegen`):
   the straight-line fragment is printed as specialized Python source — bind
   chains fused into nested loops, semiring operations inlined — and
-  byte-compiled at prepare time.  When generation declines (``srt``
+  byte-compiled once, on first use.  When generation declines (``srt``
   recursion, non-canonical semirings), this method **transparently falls
   back** to the closure-compiled form, so it is always safe;
 * ``method="nrc"`` — the closure-compiled form
@@ -38,6 +38,7 @@ the equivalence corpus and the differential fuzz suite in ``tests/nrc/``.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 from time import perf_counter as _perf
 from typing import Any, Mapping
 
@@ -228,15 +229,21 @@ def env_types_of(env: Mapping[str, Any] | None) -> dict[str, str]:
 
 
 class PreparedQuery:
-    """A parsed, normalized, typechecked and compiled K-UXQuery.
+    """A parsed, normalized and typechecked K-UXQuery, compiled once on first use.
 
-    Preparation runs the whole front half of the pipeline once — parse,
-    normalize, typecheck, compile to NRC_K + srt, simplify, and compile the
-    NRC core into closures — so that :meth:`evaluate` only pays for
-    evaluation.  The compile-once-evaluate-many contract: a prepared query is
-    immutable and safe to evaluate repeatedly (and concurrently) against
-    different environments, and repeated evaluations reuse the compiled
-    closure tree and its memo tables.
+    Preparation runs the front end — parse, typecheck, normalize — so the
+    core form (:attr:`core`) is ready at once.  The back end — compile to
+    NRC_K + srt, simplify, compile the NRC core into closures and generated
+    source — runs the first time anything reads its result (:attr:`nrc`,
+    :attr:`nrc_simplified`, :attr:`signature`, :attr:`compiled`,
+    :attr:`program`, :attr:`generated`, ...), once, so that
+    :meth:`evaluate` only pays for evaluation after the first call.  A
+    document store serving a query from its indexes reads only the core
+    form, and never compiles a program it does not run.  The
+    compile-once-evaluate-many contract: a prepared query is immutable and
+    safe to evaluate repeatedly (and concurrently) against different
+    environments, and repeated evaluations reuse the compiled closure tree
+    and its memo tables.
     """
 
     def __init__(self, query: Query, semiring: Semiring, env_types: Mapping[str, str]):
@@ -244,9 +251,10 @@ class PreparedQuery:
         self.env_types = dict(env_types)
         self.surface = query
         #: Wall time per prepare stage in seconds (parse is stamped by
-        #: :func:`prepare_query` when it did the parsing).  Always recorded:
-        #: a handful of clock reads against whole compilation passes, and
-        #: ``repro explain --analyze`` reports them after the fact.
+        #: :func:`prepare_query` when it did the parsing; back-end stages
+        #: when they run).  Always recorded: a handful of clock reads against
+        #: whole compilation passes, and ``repro explain --analyze`` reports
+        #: them after the fact.
         self.stage_timings: dict[str, float] = {}
         timings = self.stage_timings
         started = _perf()
@@ -257,24 +265,50 @@ class PreparedQuery:
         with span("prepare.normalize"):
             self.core = normalize(query, self.env_types)
         timings["normalize"] = _perf() - started
+        #: ``_plan_cache_hit`` flips to True the first time a plan cache
+        #: serves this plan without preparing it.
+        self._plan_cache_hit = False
+
+    # ------------------------------------------------------------- back end
+    # Each stage reads the stages it depends on before starting its clock,
+    # so ``stage_timings`` holds every stage's own time.
+    @cached_property
+    def nrc(self) -> Expr:
+        """The core form compiled to NRC_K + srt (Section 6.3)."""
         started = _perf()
         with span("prepare.compile-nrc"):
-            self.nrc = compile_to_nrc(self.core, semiring, self.env_types)
-        timings["compile-nrc"] = _perf() - started
+            nrc = compile_to_nrc(self.core, self.semiring, self.env_types)
+        self.stage_timings["compile-nrc"] = _perf() - started
+        return nrc
+
+    @cached_property
+    def nrc_simplified(self) -> Expr:
+        """:attr:`nrc` simplified with the Appendix A axioms."""
+        nrc = self.nrc
         started = _perf()
         with span("prepare.simplify"):
-            self.nrc_simplified = simplify(self.nrc, semiring)
-        timings["simplify"] = _perf() - started
-        #: The stable plan fingerprint the query log keys on (see
-        #: :func:`plan_signature`); computed once here, reused by every
-        #: evaluation record.  ``_plan_cache_hit`` flips to True the first
-        #: time a plan cache serves this plan without compiling.
-        self.signature = plan_signature(self.nrc_simplified, semiring, self.env_types)
-        self._plan_cache_hit = False
+            simplified = simplify(nrc, self.semiring)
+        self.stage_timings["simplify"] = _perf() - started
+        return simplified
+
+    @cached_property
+    def signature(self) -> str:
+        """The stable plan fingerprint the query log keys on (see
+        :func:`plan_signature`), reused by every evaluation record."""
+        return plan_signature(self.nrc_simplified, self.semiring, self.env_types)
+
+    @cached_property
+    def compiled(self) -> CompiledExpr:
+        """The closure-compiled program (``method="nrc"``)."""
+        simplified = self.nrc_simplified
         started = _perf()
         with span("prepare.compile-closures"):
-            self.compiled: CompiledExpr = compile_expr(self.nrc_simplified, semiring)
-        timings["compile-closures"] = _perf() - started
+            compiled = compile_expr(simplified, self.semiring)
+        self.stage_timings["compile-closures"] = _perf() - started
+        return compiled
+
+    @cached_property
+    def _codegen(self) -> tuple:
         # The source-generated program, when the simplified form lies in the
         # straight-line codegen fragment; ``codegen_reason`` records why
         # generation declined otherwise (surfaced by ``repro explain``).
@@ -282,17 +316,28 @@ class PreparedQuery:
         # the closure tree as runtime foreign-collection fallback) when
         # available, the closure tree otherwise — the ``nrc-codegen``
         # fallback rule.
-        self.generated: CodegenProgram | None
-        self.codegen_reason: str | None
+        simplified, compiled = self.nrc_simplified, self.compiled
         started = _perf()
         with span("prepare.codegen") as codegen_span:
-            self.program, self.generated, self.codegen_reason = compile_program(
-                self.nrc_simplified, semiring, self.compiled
-            )
-            codegen_span.annotate(
-                generated=self.generated is not None, reason=self.codegen_reason
-            )
-        timings["codegen"] = _perf() - started
+            program, generated, reason = compile_program(simplified, self.semiring, compiled)
+            codegen_span.annotate(generated=generated is not None, reason=reason)
+        self.stage_timings["codegen"] = _perf() - started
+        return program, generated, reason
+
+    @property
+    def program(self) -> CompiledExpr | CodegenProgram:
+        """The default execution program: :attr:`generated`, else :attr:`compiled`."""
+        return self._codegen[0]
+
+    @property
+    def generated(self) -> CodegenProgram | None:
+        """The source-generated program, or ``None`` when codegen declined."""
+        return self._codegen[1]
+
+    @property
+    def codegen_reason(self) -> str | None:
+        """Why codegen declined, or ``None`` when it generated a program."""
+        return self._codegen[2]
 
     # ------------------------------------------------------------ evaluation
     def program_for(self, method: str) -> CompiledExpr | CodegenProgram:

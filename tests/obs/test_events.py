@@ -210,17 +210,23 @@ class TestWiredSites:
         assert "srt" in declines[-1]["attrs"]["reason"]
         assert declines[-1]["attrs"]["semiring"] == NATURAL.name
 
-    def test_pushdown_fallback_is_recorded(self):
+    def test_mixed_chains_emit_no_pushdown_fallback(self):
+        """Every plan splits, so no query falls back to single-shot, and the
+        fallback event kind is gone from the catalog (``emit`` refuses
+        undeclared kinds)."""
         from repro.semirings import NATURAL
         from repro.store import DocumentStore
+        from repro.uxquery import prepare_query
         from repro.workloads import random_forest
 
+        forest = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=31)
         store = DocumentStore(NATURAL)
-        store.ingest("doc", random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=31))
-        store.query("element evfall { ($S/a, $S//b) }")
-        fallbacks = events.recent_events(kind="store.pushdown_fallback")
-        assert fallbacks
-        assert fallbacks[-1]["attrs"]["semiring"] == NATURAL.name
+        store.ingest("doc", forest)
+        query = "element evfall { ($S/a, $S//b) }"
+        answer = store.query(query)
+        assert answer == prepare_query(query, NATURAL, {"S": forest}).evaluate({"S": forest})
+        assert store.stats().pushdowns == 1
+        assert "store.pushdown_fallback" not in events.EVENT_CATALOG
 
     def test_wal_compaction_is_recorded(self, tmp_path):
         from repro.semirings import NATURAL

@@ -230,7 +230,7 @@ class TestOneRecordPerUserCall:
         entry = records[0]
         assert entry["op"] == "store.query"
         assert entry["doc"] == "doc"
-        assert entry["pushdown"] in ("full-pushdown", "pushdown", "fallback")
+        assert entry["pushdown"] in ("full-pushdown", "pushdown")
         assert entry["store"]
 
     def test_store_query_many_owns_its_record(self, tmp_path):
@@ -349,6 +349,37 @@ class TestOneRecordPerUserCall:
         assert records[0]["method"] == expected
         assert records[0]["classification"] == classification
 
+    @pytest.mark.parametrize("classification", list(IVM_VIEWS))
+    @pytest.mark.parametrize("entry", ["apply", "apply_many"])
+    def test_ivm_apply_records_one_span(self, entry, classification):
+        """One call, one ``ivm.apply`` span carrying the call's maintenance:
+        ``apply_many``'s delta-by-delta path (the self-join) opens no span
+        per delta."""
+        from repro.ivm import Delta
+        from repro.obs.trace import tracing
+        from repro.uxml import TreeBuilder
+
+        builder = TreeBuilder(NATURAL)
+        forest = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=9)
+        prepared = prepare_query(IVM_VIEWS[classification], NATURAL, {"S": forest})
+        view = prepared.materialize(forest, document_var="S")
+        deltas = [
+            Delta.insertion(NATURAL, builder.tree(f"extra{index}"), 1)
+            for index in range(3)
+        ]
+        with tracing() as tracer:
+            if entry == "apply":
+                view.apply(deltas[0])
+            else:
+                view.apply_many(deltas)
+        [site] = [span for span in tracer.spans if span.name == "ivm.apply"]
+        expected = {"linear": "incremental", "bilinear": "incremental"}.get(
+            classification, "recompute"
+        )
+        if entry == "apply_many" and classification == "linear":
+            expected = "incremental-batch"
+        assert site.attrs["maintenance"] == expected
+
     def test_nested_evaluate_under_an_armed_outer_site_writes_nothing(self):
         forest = random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=10)
         prepared = prepare_query("($S)/*", NATURAL, {"S": forest})
@@ -443,13 +474,16 @@ OP_KINDS = [
     ("exec.batch", "($S)/*", "nrc-codegen", None),
     ("store.query", "$S//c", "index", "full-pushdown"),
     ("store.query", "element out { $S/* }", "nrc-codegen", "pushdown"),
-    ("store.query", "element out { ($S/a, $S//b) }", "nrc", "fallback"),
+    ("store.query", "element out { ($S/a, $S//b) }", "nrc-codegen", "pushdown"),
     ("store.query_many", "($S)/*", "nrc-codegen", None),
     ("ivm.apply", "($S)/*", "ivm-incremental", None),
 ]
 
 
-OP_KIND_IDS = [f"{kind}-{pushdown or method}" for kind, _q, method, pushdown in OP_KINDS]
+OP_KIND_IDS = [
+    f"{kind}-{pushdown or method}" + ("-multi-chain" if query.count("$S") > 1 else "")
+    for kind, query, method, pushdown in OP_KINDS
+]
 
 
 class TestEveryOpKindReachesTheSlowView:
@@ -519,7 +553,7 @@ class TestSiteSpans:
             assert site.attrs == {"method": "nrc-codegen", "semiring": NATURAL.name}
         elif kind == "store.query":
             assert site.attrs == {"doc": "d0"}
-            # The residual or fallback plan runs as a nested evaluate span.
+            # The residual plan runs as a nested evaluate span.
             assert len(nested) == (0 if pushdown == "full-pushdown" else 1)
         else:
             assert site.attrs["maintenance"] == "incremental"

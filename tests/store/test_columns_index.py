@@ -55,6 +55,41 @@ class TestColumns:
         rebuilt = ShreddedColumns.from_payload(any_semiring, columns.to_payload())
         assert rebuilt == columns
 
+    def test_payload_codes_each_distinct_annotation_once(self, any_semiring, monkeypatch):
+        """The codec runs once per distinct annotation each way, and the
+        round trip stays exact, types included (``1 == True`` must not share
+        a text)."""
+        from repro.store import columns as columns_module
+
+        forest = random_forest(any_semiring, num_trees=6, depth=3, fanout=3, seed=7)
+        columns = ShreddedColumns.from_forest(forest)
+        distinct = {(type(value), value) for value in columns.annot}
+        assert len(distinct) < len(columns)
+        calls = {"encode": 0, "decode": 0}
+        for name in calls:
+            original = getattr(columns_module, f"{name}_obj")
+
+            def counted(value, name=name, original=original):
+                calls[name] += 1
+                return original(value)
+
+            monkeypatch.setattr(columns_module, f"{name}_obj", counted)
+        rebuilt = ShreddedColumns.from_payload(any_semiring, columns.to_payload())
+        assert calls == {"encode": len(distinct), "decode": len(distinct)}
+        assert rebuilt == columns
+        assert [type(value) for value in rebuilt.annot] == [type(v) for v in columns.annot]
+
+    def test_mixed_type_equal_annotations_keep_their_types(self):
+        columns = ShreddedColumns(NATURAL, (0, 0, 0), (1, 2, 3), ("a", "b", "c"), (1, True, 1.0))
+        rebuilt = ShreddedColumns.from_payload(NATURAL, columns.to_payload())
+        assert [type(value) for value in rebuilt.annot] == [int, bool, float]
+
+    def test_corrupt_annotation_text_is_a_store_error(self):
+        payload = ShreddedColumns.from_forest(figure4_source()).to_payload()
+        payload["annot"][0] = ["not", "text"]
+        with pytest.raises(StoreError, match="corrupt stored value"):
+            ShreddedColumns.from_payload(PROVENANCE, payload)
+
     def test_equal_forests_equal_columns(self, any_semiring):
         forest = random_forest(any_semiring, num_trees=4, depth=3, fanout=2, seed=5)
         # Rebuild the same K-set value with a different insertion order.

@@ -4,7 +4,7 @@ The acceptance bar of the subsystem:
 
 * the pushdown path returns exactly the single-shot
   ``PreparedQuery.evaluate`` result for every registry semiring on the
-  standard query suite (fallback counts exposed in stats);
+  standard query suite, mixed chains included;
 * a killed-and-recovered store (snapshot + WAL replay) is bit-identical —
   columns, annotations, registered view caches — to the uninterrupted store
   on randomized update streams.
@@ -148,8 +148,9 @@ class TestFacade:
         label_split = store._pushdown.split_for(
             store.plan_cache.get(label_query, NATURAL, env_types={"S": "forest"}), "S"
         )
-        assert path_split is not None and path_split.trivial
-        assert label_split is None  # no document variable in a label literal
+        assert path_split.trivial
+        # No document variable in a label literal: a residual without navigation.
+        assert label_split.chains == () and label_split.residual == label_query
         # And the query results follow each AST's own semantics.
         prepared = prepare_query(path_query, NATURAL, env_types={"S": "forest"})
         assert store.query(path_query) == prepared.evaluate({"S": forest})
@@ -180,12 +181,15 @@ class TestFacade:
             assert stats.fallbacks == 0, semiring.name
             assert stats.pushdowns == stats.queries
 
-    def test_fallback_counted_in_stats(self):
+    def test_mixed_chains_counted_as_pushdowns(self):
         store = DocumentStore(NATURAL)
-        store.ingest("doc", random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=31))
-        store.query("element out { ($S/a, $S//b) }")
+        forest = random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=31)
+        store.ingest("doc", forest)
+        query = "element out { ($S/a, $S//b) }"
+        answer = store.query(query)
+        assert answer == prepare_query(query, NATURAL, {"S": forest}).evaluate({"S": forest})
         stats = store.stats()
-        assert stats.fallbacks == 1 and stats.pushdowns == 0
+        assert stats.fallbacks == 0 and stats.pushdowns == 1
 
     def test_in_memory_store_cannot_compact(self):
         store = DocumentStore(NATURAL)
@@ -362,7 +366,7 @@ class TestRecoveryInvariant:
 
 class TestCodegenServing:
     """The store's serving paths execute source-generated programs: the
-    pushdown residual, the single-shot fallback, and query_many batches all
+    pushdown residual (one chain or several) and query_many batches
     compile through the engine's two-stage pipeline (observable on the
     plans' execution counters)."""
 
@@ -385,20 +389,38 @@ class TestCodegenServing:
         assert residuals and residuals[0].generated is not None
         assert residuals[0].generated.calls > 0
 
-    def test_fallback_path_executes_generated_code(self):
+    def test_mixed_chain_residual_executes_generated_code(self):
         forest = random_forest(NATURAL, num_trees=3, depth=3, fanout=2, seed=62)
         store = DocumentStore(NATURAL)
         store.ingest("doc", forest)
-        # Mixed chains decline the split: the unmodified plan serves the
-        # query — through its generated program.
+        # Mixed chains are navigated one by one; the residual combining them
+        # runs as generated code, and the unmodified plan never runs.
         query = "element out { ($S/a, $S/b/c) }"
         answer = store.query(query)
         prepared = prepare_query(query, NATURAL, {"S": forest})
         assert answer == prepared.evaluate({"S": forest})
-        assert store.stats().fallbacks == 1
+        assert store.stats().fallbacks == 0
         cached = store.plan_cache.get(query, NATURAL, env_types={"S": "forest"})
-        assert cached.generated is not None
-        assert cached.generated.calls > 0
+        assert cached.generated is not None and cached.generated.calls == 0
+        [residual] = [
+            plan for plan in store.plan_cache._plans.values() if "__nav" in str(plan.surface)
+        ]
+        assert str(residual.surface) == "element out {($__nav0, $__nav1)}"
+        assert residual.generated is not None and residual.generated.calls > 0
+
+    def test_plans_served_from_the_index_are_never_compiled(self):
+        """The store runs residuals, never the user's plan, so preparing it
+        stops at the core form: no NRC compilation, simplification, closures
+        or codegen for a program that would not run."""
+        forest = random_forest(NATURAL, num_trees=3, depth=3, fanout=2, seed=63)
+        store = DocumentStore(NATURAL)
+        store.ingest("doc", forest)
+        for query in ("$S//c", "element out { $S/*/c }", "element out { ($S/a, $S//c) }"):
+            answer = store.query(query)
+            plan = store.plan_cache.get(query, NATURAL, env_types={"S": "forest"})
+            assert set(plan.stage_timings) == {"parse", "typecheck", "normalize"}, query
+            assert answer == plan.evaluate({"S": forest})  # compiles on first use
+            assert {"simplify", "codegen"} <= set(plan.stage_timings), query
 
     def test_query_many_batches_generated_code(self):
         store = DocumentStore(NATURAL)
@@ -416,3 +438,70 @@ class TestCodegenServing:
         cached = store.plan_cache.get(query, NATURAL, env_types={"S": "forest"})
         assert cached.generated is not None
         assert cached.generated.calls >= 3
+
+
+class TestViewsByNavigation:
+    """A store view's initial result comes from the indexes and its
+    residual, never from the view's own plan: at registration and at every
+    open (snapshot load and WAL replay)."""
+
+    VIEWS = {
+        "hits": "$S//c",  # full pushdown; the plan itself runs closures (srt)
+        "wrapped": "element out { $S/*/* }",  # residual; the plan is codegen
+        "mixed": "element out { ($S/a, $S//c) }",  # two chains
+        "pairs": "for $x in $S, $y in $S where $x = $y return ($x)/*",
+    }
+
+    @staticmethod
+    def _count_runs(plan, runs):
+        """Count every execution of ``plan``'s closure tree and generated
+        program (``generated.calls`` only counts the latter)."""
+        programs = [plan.compiled] + ([plan.generated] if plan.generated else [])
+        for program in programs:
+            run = program._run
+
+            def counted(frame, run=run):
+                runs.append(plan)
+                return run(frame)
+
+            program._run = counted
+
+    def test_views_materialize_without_running_their_plan(self, tmp_path):
+        from repro.exec.plan_cache import PlanCache
+
+        cache = PlanCache(maxsize=64)
+        forest = random_forest(PROVENANCE, num_trees=4, depth=3, fanout=2, seed=81)
+        store = DocumentStore(PROVENANCE, directory=tmp_path / "s", plan_cache=cache)
+        store.ingest("doc", forest)
+        runs: list = []
+        plans = {}
+        for name, query in self.VIEWS.items():
+            plans[name] = cache.get(query, PROVENANCE, env_types={"S": "forest"})
+            self._count_runs(plans[name], runs)
+        calls = {name: plan.generated.calls for name, plan in plans.items() if plan.generated}
+        for name, query in self.VIEWS.items():
+            store.register_view(name, query, "doc")
+            if name == "wrapped":
+                store.compact()  # the views after it replay from the WAL
+        assert runs == []
+        assert calls == {name: plan.generated.calls for name, plan in plans.items() if plan.generated}
+        tree = random_tree(PROVENANCE, 3, 2, seed=82)
+        store.update("doc", Delta.insertion(PROVENANCE, tree, PROVENANCE.one))
+        reopened = DocumentStore.open(tmp_path / "s", plan_cache=cache)
+        # Only a recompute runs a view's plan: the update's, live and replayed.
+        recomputed = [
+            plans[name]
+            for each in (store, reopened)
+            for name in self.VIEWS
+            if each.view(name).stats().recomputes
+        ]
+        assert sorted(map(id, runs)) == sorted(map(id, recomputed))
+        reference = store.forest("doc")
+        for name, query in self.VIEWS.items():
+            expected = prepare_query(query, PROVENANCE, {"S": reference}).evaluate({"S": reference})
+            assert store.view(name).result == expected, name
+            assert reopened.view(name).result == expected, name
+        # View materializations are not queries.
+        assert reopened.stats().pushdowns == reopened.stats().queries == 0
+        reopened.query("element out { ($S/a, $S//b) }")
+        assert reopened.stats().pushdown_rate == 1.0

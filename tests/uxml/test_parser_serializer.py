@@ -125,3 +125,62 @@ class TestSerialization:
         b = TreeBuilder(NATURAL)
         tree = b.tree("a", b.leaf("x&y"))
         assert "x&amp;y" in to_xml(tree)
+
+    #: Labels and annotation texts with every character either escaper treats
+    #: specially, alone and mixed.
+    AWKWARD_TEXTS = [
+        "plain", "", "x&y", "a<b>c", 'say "hi"', "it's", "both \" and '", "\"'",
+        "line\nbreak", "cr\rlf\r\n", "tab\there", "&amp; already", "<&>\"'\n\t\r",
+    ]
+
+    @pytest.mark.parametrize("text", AWKWARD_TEXTS)
+    def test_escapers_match_the_standard_library(self, text):
+        from xml.sax import saxutils
+
+        from repro.uxml.serializer import escape, quoteattr
+
+        assert escape(text) == saxutils.escape(text)
+        assert quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_awkward_labels_and_annotations_serialize_like_the_standard_library(self):
+        from xml.sax import saxutils
+
+        b = TreeBuilder(PROVENANCE)
+        for text in filter(None, self.AWKWARD_TEXTS):
+            tree = b.tree(text)
+            annotation = Polynomial.variable(text)
+            rendered = to_xml(tree, annotation)
+            attribute = saxutils.quoteattr(PROVENANCE.repr_element(annotation))
+            assert rendered == f"<{saxutils.escape(text)} annot={attribute}/>", text
+
+
+def test_a_cold_store_query_loads_only_what_it_runs():
+    """``xml.sax.saxutils`` pulls in ``urllib.request``, ``http.client`` and
+    ``email``; the serializer escapes on its own.  Opening a store needs
+    neither the relational algebra and Datalog (``repro.relational``) nor
+    ``repro fsck``.  So a cold ``repro store query`` loads none of them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    modules = (
+        "xml.sax.saxutils", "urllib.request", "http.client", "email",
+        "repro.relational", "repro.shredding.xpath_to_datalog", "repro.store.fsck",
+    )
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.store import DocumentStore\n"
+        f"print(sorted(name for name in {modules!r} if name in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+    assert output == "[]"
