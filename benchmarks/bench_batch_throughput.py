@@ -9,8 +9,10 @@ same query:
 * **prepared loop** — hold a ``PreparedQuery`` and call ``evaluate`` per
   document (compile once, frame setup per call);
 * **batch** — :class:`~repro.exec.batch.BatchEvaluator.evaluate_many`, one
-  call for the whole corpus (compile once, one frame template, shared ``srt``
-  memo).
+  call for the whole corpus (compile once, one guard and one query-log
+  record, each document through the plan's own dispatch).  It runs the
+  same per-document code as the prepared loop, so it should take about the
+  same time.
 
 The asserts pin the three answers equal; ``run_all.py`` records the
 single-shot-loop vs batch throughput ratio in ``BENCH_results.json``.

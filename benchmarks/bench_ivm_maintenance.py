@@ -12,8 +12,9 @@ sizeable document, updated by small deltas.  Three measurements:
   program on the removed member and subtracts its change exactly over
   ``N``, the counting split);
 * **maintain (batched stream)** — an insert-only stream pushed through
-  :meth:`~repro.ivm.view.MaterializedView.apply_many` (one
-  ``BatchEvaluator`` call), then drained by per-delta deletions.
+  :meth:`~repro.ivm.view.MaterializedView.apply_many` (one run of the
+  delta plan over the sum of the insertions), then drained by per-delta
+  deletions.
 
 ``run_all.py`` records the recompute-vs-maintain per-update ratio in the
 ``ivm`` section of ``BENCH_results.json``, plus the same ratio for

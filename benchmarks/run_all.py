@@ -937,7 +937,9 @@ def main() -> None:
             "exec": "batch_throughput compares a stateless single-shot loop "
             "(evaluate_query per document, re-preparing every time) against one "
             "BatchEvaluator.evaluate_many call over the same documents; answers are "
-            "asserted equal before timing",
+            "asserted equal before timing; the batch runs each document through "
+            "the plan's own dispatch, so speedup_vs_prepared_loop (against a loop "
+            "of PreparedQuery.evaluate) is expected near 1.0",
             "ivm": "single-subtree-insert workload: per-update cost of maintaining a "
             "materialized view through its compiled delta plan (insert + exact "
             "delete by the counting split, state restored every round) vs "

@@ -12,9 +12,12 @@ Two cooperating pieces
   hit/miss/eviction stats.  Stateless callers get compile-once for free, and
   one cached plan serves every evaluation method.
 * :mod:`repro.exec.batch` — :class:`~repro.exec.batch.BatchEvaluator` runs one
-  prepared query against many documents in a single call, reusing one frame
-  template and the compiled form's persistent ``srt`` memo, and merging K-set
-  results through the trusted ``KSet._accumulate_normalized`` fast path.
+  prepared query against many documents in a single call, under one guard
+  and one query-log record, each document through the plan's own method
+  dispatch (sharing the compiled form's persistent ``srt`` memo), and merges
+  K-set results through the trusted ``KSet._accumulate_normalized`` fast
+  path.  Its guarded loop and exact merge also serve the store's
+  ``query_many``.
 
 Which one do I want?
 --------------------
@@ -24,14 +27,16 @@ Which one do I want?
 * **Plan cache** — you receive query *text* per request (a stateless service,
   the CLI): call :func:`~repro.exec.plan_cache.cached_prepare` instead of
   ``prepare_query`` and evaluate as usual.
-* **Batch** — one query, *many documents*: amortizes frame setup and shares
-  ``srt`` memo tables across the whole batch.
+* **Batch** — one query, *many documents* in memory: one call, one guard
+  and one record for the whole batch.  For documents in a
+  :class:`~repro.store.DocumentStore`, use its ``query_many``, which serves
+  each one from the indexes.
 
 Batches run inline, in the calling thread: evaluation is pure Python under
 the GIL, so a thread or process pool never beat the inline loop.  Batching
-one query over many documents is :class:`~repro.exec.batch.BatchEvaluator`'s
-job alone; ``PreparedQuery.evaluate`` and ``evaluate_query`` take one
-environment.
+one query over many in-memory documents is
+:class:`~repro.exec.batch.BatchEvaluator`'s job alone;
+``PreparedQuery.evaluate`` and ``evaluate_query`` take one environment.
 """
 
 from repro.errors import ExecError

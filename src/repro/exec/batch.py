@@ -1,12 +1,12 @@
 """Batched evaluation: one prepared query against many documents.
 
-Calling :meth:`PreparedQuery.evaluate` in a loop already reuses the compiled
-closure tree, but every call still rebuilds the frame from the environment
-dict.  :class:`BatchEvaluator` amortizes that too: the constant part of the
-environment is materialized **once** into a frame template, and each document
-evaluation copies the template and writes exactly one slot (the document
-variable).  The persistent ``srt`` memo tables of the compiled form are shared
-across the whole batch automatically — recursion results computed for one
+:class:`BatchEvaluator` runs one :class:`PreparedQuery` over many documents
+in one call, with one guard and one query-log record for the whole batch.
+Each document runs through the plan's own method dispatch, so only the
+program's ``evaluate`` sets up frames, falls back on foreign collections and
+counts generated-program ``calls``.  The persistent ``srt`` memo tables of
+the compiled form are shared across the whole batch automatically, since
+they survive between evaluations: recursion results computed for one
 document are reused for structurally identical subtrees of every later
 document.
 
@@ -17,16 +17,13 @@ Two collection shapes are offered:
 * :meth:`BatchEvaluator.evaluate_merged` — the pointwise union of all
   per-document K-set results, accumulated with the trusted
   :meth:`~repro.kcollections.kset.KSet._accumulate_normalized` fast path
-  instead of per-document public constructors (what merged store reads
-  and batched view maintenance want).
+  instead of per-document public constructors.
 
-The frame-template fast path serves both ``method="nrc-codegen"`` (the
-source-generated program, when the plan has one — the default) and
-``method="nrc"`` (the closure tree): the two program kinds share the frame
-protocol, so one batch call runs **one generated function** across all
-documents and bumps its execution counter in bulk.
+The guarded loop (:func:`run_guarded`) and the exact merge
+(:func:`merge_ksets`) also serve the store's ``query_many``, which runs
+each document through the index like its one-document ``query``.
 
-Both run inline, in the calling thread, with one guard around the whole
+Batches run inline, in the calling thread, with one guard around the whole
 batch: evaluation is pure Python under the GIL, so fanning documents out
 over a thread pool ran at 0.86–1.02x the inline loop (and a process pool at
 0.12–0.68x) on a two-core host, and neither is offered.
@@ -35,19 +32,18 @@ over a thread pool ran at 0.86–1.02x the inline loop (and a process pool at
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ExecError
 from repro.kcollections.kset import KSet
-from repro.nrc.codegen import CodegenProgram, _ForeignCollection, note_calls
-from repro.nrc.compile_eval import _UNBOUND
 from repro.obs.qlog import observe
 from repro.obs.trace import span
 from repro.resilience.limits import EvalLimits, LimitGuard, activate
+from repro.semirings.base import Semiring
 from repro.uxquery.engine import DEFAULT_METHOD, PreparedQuery, validate_method
 from repro.uxquery.typecheck import FOREST
 
-__all__ = ["BatchEvaluator", "infer_document_var"]
+__all__ = ["BatchEvaluator", "infer_document_var", "run_guarded", "merge_ksets"]
 
 
 def infer_document_var(prepared: PreparedQuery) -> str:
@@ -71,6 +67,46 @@ def infer_document_var(prepared: PreparedQuery) -> str:
     )
 
 
+def run_guarded(run: Callable[[Any], Any], items: list, guard: LimitGuard | None) -> list:
+    """Run ``run`` over the items in order, under ``guard`` when armed.
+
+    One activation covers the whole loop, so one deadline bounds the
+    batch; each item's result is charged as it completes.
+    """
+    if guard is None:
+        return [run(item) for item in items]
+    results = []
+    with activate(guard):
+        for item in items:
+            results.append(run(item))
+            guard.check_result(results[-1])
+    return results
+
+
+def merge_ksets(
+    results: Iterable[Any], semiring: Semiring, guard: LimitGuard | None = None
+) -> KSet:
+    """The exact pointwise union of K-set ``results`` over ``semiring``.
+
+    Their items are already coerced and normalized, so the merge runs
+    through the trusted :meth:`KSet._accumulate_normalized` n-ary sum.  The
+    merged K-set is charged against ``guard``'s row and byte budgets, as
+    single-shot evaluation over the union forest would charge it.
+    """
+    results = list(results)
+    for result in results:
+        if not isinstance(result, KSet) or result.semiring != semiring:
+            raise ExecError(
+                f"a merge needs forest/K-set results over {semiring.name}; got {result!r}"
+            )
+    merged = KSet._accumulate_normalized(
+        semiring, itertools.chain.from_iterable(result.items() for result in results)
+    )
+    if guard is not None:
+        guard.check_result(merged)
+    return merged
+
+
 class BatchEvaluator:
     """Run one :class:`PreparedQuery` against many documents in a single call."""
 
@@ -89,49 +125,6 @@ class BatchEvaluator:
             )
         self.var = var
 
-    # ------------------------------------------------------------- execution
-    def _program(self, method: str):
-        """The frame-protocol program serving ``method`` on this plan.
-
-        Delta-plan adapters expose their (possibly generated) program as
-        ``compiled`` without a ``program_for``; fall through to it.
-        """
-        resolver = getattr(self.prepared, "program_for", None)
-        if resolver is not None:
-            return resolver(method)
-        return self.prepared.compiled
-
-    def _frame_template(self, program, env: Mapping[str, Any] | None) -> tuple[list, int | None]:
-        """The shared frame (constant bindings filled in) and the document slot."""
-        template = [_UNBOUND] * program._num_slots
-        if env:
-            for name, slot in program._free_slots.items():
-                if name == self.var:
-                    continue  # documents override any representative binding
-                value = env.get(name, _UNBOUND)
-                if value is not _UNBOUND:
-                    template[slot] = value
-        return template, program._free_slots.get(self.var)
-
-    @staticmethod
-    def _dispatch_runs(run, documents: list, guard: LimitGuard | None) -> list:
-        """Run ``run`` over the documents in order, under ``guard`` when armed.
-
-        One activation covers the whole loop, so one deadline bounds the
-        batch; each document's result is charged as it completes.
-        """
-        # The span name predates inline-only batches; storebench's layer
-        # table attributes it to exec.batch by this name.
-        with span("exec.batch.fan_out", documents=len(documents)):
-            if guard is None:
-                return [run(document) for document in documents]
-            results = []
-            with activate(guard):
-                for document in documents:
-                    results.append(run(document))
-                    guard.check_result(results[-1])
-            return results
-
     def evaluate_many(
         self,
         documents: Iterable[Any],
@@ -147,62 +140,26 @@ class BatchEvaluator:
         whole batch with one deadline and charges every per-document result
         against the row and byte budgets; an armed guard shares its deadline.
         """
-        # One record per batch call: the per-document runs below never enter
-        # an observed entry point.
+        # One record per batch call: the per-document runs below go through
+        # the plan's method dispatch, never an observed evaluate().
         with observe("exec.batch", self.prepared) as obs:
-            results = self._evaluate_many(documents, env, method, limits)
-            return obs.done(results, method=method)
+            validate_method(method)
+            documents = list(documents)
+            guard = limits.start() if limits is not None and limits.is_bounded else None
+            # Each run has read its bindings before the next document
+            # replaces the document binding, so one dict serves them all.
+            bindings = dict(env) if env else {}
+            dispatch, var = self.prepared._dispatch, self.var
 
-    def _evaluate_many(
-        self,
-        documents: Iterable[Any],
-        env: Mapping[str, Any] | None,
-        method: str,
-        limits: EvalLimits | LimitGuard | None,
-    ) -> list:
-        validate_method(method)
-        documents = list(documents)
-        if not documents:
-            return []
-        guard = limits.start() if limits is not None and limits.is_bounded else None
-        if method not in ("nrc", "nrc-codegen"):
-            # The interpreter baselines take plain environment dicts, through
-            # the plan's method dispatch rather than its observed evaluate().
-            base = dict(env) if env else {}
-            base.pop(self.var, None)
-            dispatch = self.prepared._dispatch
-
-            def run_interp(document: Any) -> Any:
-                bindings = dict(base)
-                bindings[self.var] = document
+            def run(document: Any) -> Any:
+                bindings[var] = document
                 return dispatch(bindings, method)
 
-            return self._dispatch_runs(run_interp, documents, guard)
-        program = self._program(method)
-        template, slot = self._frame_template(program, env)
-        run = program._run
-        base_env = dict(env) if env else {}
-
-        def run_one(document: Any) -> Any:
-            frame = template.copy()
-            if slot is not None:
-                frame[slot] = document
-            try:
-                return run(frame)
-            except _ForeignCollection as foreign:
-                # A foreign-semiring document: only a generated program
-                # raises this, and serve_foreign reruns its closure
-                # fallback (uncounting the call from the bulk bump below).
-                bindings = dict(base_env)
-                bindings[self.var] = document
-                return program.serve_foreign(foreign, bindings)
-
-        if isinstance(program, CodegenProgram):
-            # The template path calls _run directly; account the whole batch
-            # so serving layers can observe generated-program execution.
-            program.calls += len(documents)
-            note_calls(len(documents))
-        return self._dispatch_runs(run_one, documents, guard)
+            # The span name predates inline-only batches; storebench's layer
+            # table attributes it to exec.batch by this name.
+            with span("exec.batch.fan_out", documents=len(documents)):
+                results = run_guarded(run, documents, guard)
+            return obs.done(results, method=method)
 
     def evaluate_merged(
         self,
@@ -213,9 +170,8 @@ class BatchEvaluator:
     ) -> KSet:
         """The pointwise union of the per-document K-set results.
 
-        Per-document results must be K-sets over the prepared semiring; their
-        items are already coerced and normalized, so the merge runs through
-        the trusted :meth:`KSet._accumulate_normalized` n-ary sum.
+        Per-document results must be K-sets over the prepared semiring; they
+        merge exactly through :func:`merge_ksets`.
 
         ``limits=`` bounds the batch as a whole: one guard's deadline covers
         every document and the merge, and the merged K-set, the batch's
@@ -227,18 +183,7 @@ class BatchEvaluator:
         with observe("exec.batch", self.prepared) as obs:
             guard = limits.start() if limits is not None and limits.is_bounded else None
             results = self.evaluate_many(documents, env=env, method=method, limits=guard)
-            semiring = self.prepared.semiring
-            for result in results:
-                if not isinstance(result, KSet) or result.semiring != semiring:
-                    raise ExecError(
-                        "evaluate_merged needs forest/K-set results over the prepared "
-                        f"semiring; got {result!r}"
-                    )
-            merged = KSet._accumulate_normalized(
-                semiring, itertools.chain.from_iterable(result.items() for result in results)
-            )
-            if guard is not None:
-                guard.check_result(merged)
+            merged = merge_ksets(results, self.prepared.semiring, guard)
             return obs.done(merged, method=method)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,8 +21,8 @@ Three cooperating pieces
 * :mod:`repro.ivm.view` — :class:`MaterializedView`, a cached K-set result
   plus :meth:`~MaterializedView.apply`: exact maintenance with recompute
   fallback (deletions by the counting split over semirings with exact
-  subtraction), batched insert streams through :mod:`repro.exec.batch`,
-  and hit/miss-style freshness stats.
+  subtraction), insert-only streams on linear plans as one delta-plan run
+  over the sum of their insertions, and hit/miss-style freshness stats.
 
 Entry points
 ------------

@@ -16,10 +16,11 @@ equal to re-evaluation as the document changes:
   evaluating the query on the updated document, for every semiring,
   including the non-idempotent ones where a sloppy merge would corrupt
   multiplicities.
-* :meth:`MaterializedView.apply_many` pushes a stream of insert-only deltas
-  through one :class:`~repro.exec.batch.BatchEvaluator` call (one frame
-  template, shared ``srt`` memo) and merges once.  Like :meth:`apply`, it is
-  one user call and writes one ``ivm.apply`` query-log record.
+* :meth:`MaterializedView.apply_many` maintains a stream of insert-only
+  deltas on a linear plan with **one** run of the delta plan, over the sum
+  of their insertions: a linear delta plan is additive in the delta.  Like
+  :meth:`apply`, it is one user call and writes one ``ivm.apply``
+  query-log record.
 * Freshness is observable: :meth:`MaterializedView.stats` counts applies,
   incremental vs recomputed maintenance, refreshes and batched deltas, the
   way the plan cache exposes hits and misses.
@@ -45,7 +46,6 @@ from repro.obs.qlog import observe
 from repro.ivm.delta import Delta, apply_sequence, combine_change
 from repro.ivm.derive import LINEAR, NON_INCREMENTAL, DeltaPlan
 from repro.uxquery.engine import PreparedQuery
-from repro.uxquery.typecheck import FOREST
 
 __all__ = ["ViewStats", "MaterializedView"]
 
@@ -80,20 +80,6 @@ class ViewStats(NamedTuple):
     def incremental_rate(self) -> float:
         """Fraction of applies served by the delta plan (0.0 when unused)."""
         return self.incremental / self.applies if self.applies else 0.0
-
-
-class _PreparedDeltaAdapter:
-    """Duck-types the ``PreparedQuery`` surface ``BatchEvaluator`` consumes,
-    backed by a compiled delta plan (delta K-sets play the documents).
-    ``compiled`` is the plan's *program* — the generated bytecode when the
-    delta expression codegen'd, the closure tree otherwise — so batched
-    maintenance runs the same code the single-delta path runs."""
-
-    def __init__(self, plan: DeltaPlan):
-        self.compiled = plan.program
-        self.generated = plan.generated
-        self.semiring = plan.semiring
-        self.env_types = {plan.delta_var: FOREST}
 
 
 class MaterializedView:
@@ -184,15 +170,14 @@ class MaterializedView:
     def apply_many(self, deltas: Iterable[Delta]) -> Any:
         """Apply a stream of deltas, batching the insert-only linear case.
 
-        When every delta is insert-only and the plan is linear, the per-delta
-        result changes are independent of application order and of each
-        other, so they are computed in **one**
-        :meth:`~repro.exec.batch.BatchEvaluator.evaluate_merged` call (the
-        delta K-sets play the role of the documents) and merged into the
-        view once.  A non-incremental plan folds the stream into one
-        recomputation; anything else maintains the view delta by delta, as
-        :meth:`apply` does.  The whole call is one ``ivm.apply`` scope, so it
-        writes one query-log record and one span, whose ``method`` and
+        When every delta is insert-only and the plan is linear, the delta
+        plan reads only the delta and is additive in it, so the sum of the
+        per-delta result changes is **one** run of the plan over the sum of
+        the deltas' insertions, merged into the view once.  A
+        non-incremental plan folds the stream into one recomputation;
+        anything else maintains the view delta by delta, as :meth:`apply`
+        does.  The whole call is one ``ivm.apply`` scope, so it writes one
+        query-log record and one span, whose ``method`` and
         ``maintenance`` say ``recompute`` if any recomputation ran.
         """
         deltas = list(deltas)
@@ -226,14 +211,16 @@ class MaterializedView:
                 self._document = document
                 self._result = self.prepared.evaluate(self._bindings(document))
             elif batchable:
-                from repro.exec.batch import BatchEvaluator
+                from repro.exec.batch import merge_ksets
 
                 obs.annotate(maintenance="incremental-batch")
-                evaluator = BatchEvaluator(_PreparedDeltaAdapter(plan), var=plan.delta_var)
-                change = evaluator.evaluate_merged(
-                    [delta.insertions() for delta in deltas], env=self._env
-                )
                 document = apply_sequence(self._document, deltas)
+                insertions = merge_ksets(
+                    [delta.insertions() for delta in deltas], self.semiring
+                )
+                change = plan.evaluate_insertions(
+                    insertions, self._document, document, self._env
+                )
                 self._applies += len(deltas)
                 self._incremental += len(deltas)
                 self._batched += len(deltas)

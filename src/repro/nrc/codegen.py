@@ -135,11 +135,6 @@ _DECLINED_COUNTER = default_registry().counter(
 _TOTAL_CALLS = [0]
 
 
-def note_calls(count: int) -> None:
-    """Bulk call accounting (the batch template path bypasses evaluate())."""
-    _TOTAL_CALLS[0] += count
-
-
 def _collect_codegen(sink: Any) -> None:
     sink.counter(
         "repro_codegen_calls_total", _TOTAL_CALLS[0],
@@ -165,12 +160,11 @@ def codegen_stats() -> dict[str, int]:
 class CodegenProgram:
     """A straight-line NRC expression compiled to specialized Python bytecode.
 
-    Exposes the same evaluation contract (and the same internal frame
-    protocol — ``_run``/``_free_slots``/``_num_slots``) as
-    :class:`~repro.nrc.compile_eval.CompiledExpr`, so the batch evaluator's
-    frame-template fast path works on either program kind.  ``calls`` counts
-    evaluations (bumped in bulk by the batch path) so every serving layer can
-    observe that generated code, not closures, did the work.
+    Exposes the same evaluation contract as
+    :class:`~repro.nrc.compile_eval.CompiledExpr`.  ``calls`` counts the
+    evaluations generated code served, one per :meth:`evaluate` (no caller
+    bumps it in bulk), so every serving layer can observe that generated
+    code, not closures, did the work.
     """
 
     __slots__ = ("expr", "semiring", "source", "_run", "_free_slots", "_num_slots",
@@ -220,28 +214,22 @@ class CodegenProgram:
         try:
             return self._run(frame)
         except _ForeignCollection as foreign:
-            return self.serve_foreign(foreign, env)
+            # A foreign-semiring collection: the closure evaluator defines
+            # the behavior (big unions delegate to the collection's
+            # semiring, unions raise), so the fallback program reruns when
+            # one is attached, and a standalone program raises like the
+            # K-set algebra would.  Either way generated code did not serve
+            # the call, so it comes back out of the counters.
+            self.calls -= 1
+            _TOTAL_CALLS[0] -= 1
+            if self.fallback is not None:
+                return self.fallback.evaluate(env)
+            raise SemiringError(
+                f"cannot combine K-sets over different semirings "
+                f"({foreign.expected} vs {foreign.actual})"
+            ) from None
 
     __call__ = evaluate
-
-    def serve_foreign(self, foreign: _ForeignCollection, env: Mapping[str, Any] | None) -> Any:
-        """Serve an evaluation that hit a foreign-semiring collection.
-
-        The closure evaluator defines the behavior (big unions delegate to
-        the collection's semiring, unions raise), so the :attr:`fallback`
-        program is rerun when one is attached; a standalone program raises
-        :class:`SemiringError` like the K-set algebra would.  Either way the
-        call is taken back out of :attr:`calls` — generated code did not
-        serve it.  Shared by :meth:`evaluate` and the batch template path.
-        """
-        self.calls -= 1
-        _TOTAL_CALLS[0] -= 1
-        if self.fallback is not None:
-            return self.fallback.evaluate(env)
-        raise SemiringError(
-            f"cannot combine K-sets over different semirings "
-            f"({foreign.expected} vs {foreign.actual})"
-        ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CodegenProgram over {self.semiring.name}: {str(self.expr)[:60]}>"

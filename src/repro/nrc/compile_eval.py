@@ -27,7 +27,10 @@ walked **once** and translated into a tree of Python closures of type
 * **structural recursion is memoized** — within one application of an ``srt``
   operator, results are cached per (hashable, immutable)
   :class:`~repro.uxml.tree.UTree` subtree, so recursion over documents with
-  shared or repeated subtrees is linear in the number of *distinct* subtrees.
+  shared or repeated subtrees is linear in the number of *distinct* subtrees;
+  when the body is closed the memo persists across
+  :meth:`CompiledExpr.evaluate` calls, so a loop of evaluations (a batch
+  over many documents) shares it with no help from the caller.
 
 The compiled form and the interpreter agree on every expression; the
 equivalence suite in ``tests/nrc/test_compile_eval_equiv.py`` checks this

@@ -131,9 +131,9 @@ _RING = Ring(DEFAULT_RING_CAPACITY)
 _REFRESH_EVERY = 1024
 _probe = 0
 
-#: The sites that own a span named after their op; the batch and
-#: ``query_many`` sites are covered by their fan-out spans.
-_SPAN_SITES = frozenset({"evaluate", "store.query", "ivm.apply"})
+#: The sites that own a span named after their op; the batch site is
+#: covered by its fan-out span.
+_SPAN_SITES = frozenset({"evaluate", "store.query", "store.query_many", "ivm.apply"})
 
 _TRUTHY = ("on", "1", "true", "yes")
 _FALSY = ("off", "0", "false", "no")

@@ -19,8 +19,9 @@ Six cooperating pieces
 * :mod:`repro.store.pushdown` — :func:`split_navigation` /
   :class:`PushdownExecutor`: split a prepared plan into its step chains over
   the document variable and a residual, serve each chain from the indexes,
-  and evaluate only the residual fragment.  Every query and every view
-  materialization is served this way.
+  and evaluate only the residual fragment.  Every query (``query`` and
+  each document of ``query_many``) and every view materialization is
+  served this way.
 * :mod:`repro.store.wal` / :mod:`repro.store.snapshot` — durability: an
   append-only JSONL write-ahead log of store operations (deltas as the
   update records) plus atomic snapshots of the shredded columns; recovery is

@@ -6,8 +6,9 @@ columnar form (:mod:`repro.store.columns`) is assembled when a snapshot or
 ``fsck`` needs it.  Queries are compiled through a per-store
 :class:`~repro.exec.plan_cache.PlanCache` and served by the navigation
 pushdown (:mod:`repro.store.pushdown`), exactly equal to single-shot
-evaluation; updates are :class:`~repro.ivm.delta.Delta` values applied
-through the IVM machinery, maintaining every registered
+evaluation; ``query_many`` serves each of its documents the same way.
+Updates are :class:`~repro.ivm.delta.Delta` values applied through the IVM
+machinery, maintaining every registered
 :class:`~repro.ivm.view.MaterializedView` as they land.  A delta changes
 whole members, so an update replaces only the blocks of the members it
 touches: its cost follows the change, not the document.
@@ -39,6 +40,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ExecError, SemiringError, StoreError
+from repro.exec.batch import merge_ksets, run_guarded
 from repro.exec.plan_cache import PlanCache
 from repro.ivm.delta import Delta
 from repro.ivm.view import MaterializedView
@@ -61,6 +63,7 @@ from repro.store.snapshot import (
 )
 from repro.store.wal import WriteAheadLog, delta_to_payload, payload_to_delta
 from repro.uxquery.ast import Query
+from repro.uxquery.engine import PreparedQuery, env_types_of
 from repro.uxquery.typecheck import FOREST
 
 __all__ = [
@@ -126,6 +129,12 @@ _OPERATION_KINDS = (
 )
 
 
+def _method(how: str | None) -> str:
+    """The query-log ``method`` of a read the pushdown served ``how``: the
+    indexes alone, or the residual plan's generated program."""
+    return "index" if how == "full-pushdown" else "nrc-codegen"
+
+
 class StoredDocument:
     """One stored document: the current version of its per-member index."""
 
@@ -151,8 +160,10 @@ class StoredDocument:
 class StoreStats(NamedTuple):
     """A consistent snapshot of a store's counters (``cache-stats`` style).
 
-    ``pushdowns`` counts the queries served through the indexes — every
-    :meth:`DocumentStore.query` call; view materializations are not queries.
+    ``queries`` and ``pushdowns`` (reads served through the indexes) both
+    count documents: one per :meth:`DocumentStore.query` call and one per
+    document of a :meth:`DocumentStore.query_many` call.  View
+    materializations are not queries.
     ``fallbacks`` always reads 0: no query is evaluated single-shot since
     every plan splits.  It stays so ``repro store stats`` and the
     ``repro_store_operations_total`` series keep their shape.
@@ -414,6 +425,15 @@ class DocumentStore:
                 self._views[name].apply(delta)
 
     # ------------------------------------------------------------------- query
+    def _prepare(
+        self, query: str | Query, var: str, env: Mapping[str, Any] | None = None
+    ) -> PreparedQuery:
+        """The store's plan for ``query`` over a document bound to ``$var``."""
+        env_types = {var: FOREST}
+        if env:
+            env_types.update(env_types_of({k: v for k, v in env.items() if k != var}))
+        return self.plan_cache.get(query, self.semiring, env_types=env_types)
+
     def query(
         self,
         query: str | Query,
@@ -430,18 +450,13 @@ class DocumentStore:
         ``prepared.evaluate({var: document, **env})``.
         """
         stored = self.document(self._resolve_doc(doc_id))
-        env_types = {var: FOREST}
-        if env:
-            from repro.uxquery.engine import env_types_of
-
-            env_types.update(env_types_of({k: v for k, v in env.items() if k != var}))
-        prepared = self.plan_cache.get(query, self.semiring, env_types=env_types)
+        prepared = self._prepare(query, var, env)
         self._queries += 1
         with observe("store.query", prepared, doc=stored.doc_id) as obs:
             result, how, plan = self._pushdown.execute(prepared, stored.index, var, env)
             return obs.done(
                 result,
-                method="index" if how == "full-pushdown" else "nrc-codegen",
+                method=_method(how),
                 plan=plan,
                 pushdown=how,
                 store=self._metrics_label,
@@ -458,30 +473,33 @@ class DocumentStore:
         executor: Any | None = None,
         limits: EvalLimits | None = None,
     ) -> Any:
-        """Run one query over many stored documents in a single batched call.
+        """Run one query over many stored documents in a single call.
 
-        The stored forests are reused directly — no re-shredding, no
-        re-parsing — through :class:`~repro.exec.batch.BatchEvaluator` (one
-        frame template, shared ``srt`` memo); ``merge=True`` unions the
-        per-document K-sets exactly.  The batch runs inline; ``executor`` is
-        kept only for callers that pass ``None``, and any other value raises
+        Each document is served exactly as :meth:`query` serves it, from
+        the indexes and the residual plan, and ``merge=True`` unions the
+        per-document K-sets exactly.  ``limits=`` guards the whole call:
+        one deadline across every document, and each per-document result
+        and the merged K-set are charged against the row and byte budgets.
+        The call runs inline; ``executor`` is kept only for callers that
+        pass ``None``, and any other value raises
         :class:`~repro.errors.ExecError` before any document runs.
         """
-        from repro.exec.batch import BatchEvaluator
-
         if executor is not None:
             raise ExecError(f"query_many runs inline and takes no executor; got {executor!r}")
         ids = list(doc_ids) if doc_ids is not None else self.document_ids()
-        documents = [self.forest(doc_id) for doc_id in ids]
-        env_types = {var: FOREST}
-        if env:
-            from repro.uxquery.engine import env_types_of
-
-            env_types.update(env_types_of({k: v for k, v in env.items() if k != var}))
-        prepared = self.plan_cache.get(query, self.semiring, env_types=env_types)
+        documents = [self.document(doc_id) for doc_id in ids]
+        prepared = self._prepare(query, var, env)
         self._queries += len(ids)
-        evaluator = BatchEvaluator(prepared, var=var)
-        run = evaluator.evaluate_merged if merge else evaluator.evaluate_many
+        guard = limits.start() if limits is not None and limits.is_bounded else None
+        # The split depends only on the plan, so every document is served
+        # the same way: the record reports how the last one was.
+        how = plan = None
+
+        def serve(stored: StoredDocument) -> Any:
+            nonlocal how, plan
+            result, how, plan = self._pushdown.execute(prepared, stored.index, var, env)
+            return result
+
         with observe(
             "store.query_many",
             prepared,
@@ -490,8 +508,10 @@ class DocumentStore:
             var=var,
             merge=merge,
         ) as obs:
-            result = run(documents, env=env, limits=limits)
-            return obs.done(result, method="nrc-codegen")
+            result = run_guarded(serve, documents, guard)
+            if merge:
+                result = merge_ksets(result, self.semiring, guard)
+            return obs.done(result, method=_method(how), plan=plan, pushdown=how)
 
     # ------------------------------------------------------------------- views
     def register_view(self, name: str, query: str, doc_id: str, var: str = "S") -> MaterializedView:
@@ -523,7 +543,7 @@ class DocumentStore:
             record["query"],
             record.get("var", "S"),
         )
-        prepared = self.plan_cache.get(query, self.semiring, env_types={var: FOREST})
+        prepared = self._prepare(query, var)
         stored = self.document(doc_id)
         # One ``evaluate`` record in the view's own text, as evaluating its
         # plan writes: the residual's ``$__nav`` text never reaches the log.
@@ -531,9 +551,7 @@ class DocumentStore:
             "evaluate", prepared, method="nrc-codegen", semiring=self.semiring.name
         ) as obs:
             result, how, plan = self._pushdown.evaluate(prepared, stored.index, var)
-            obs.done(
-                result, method="index" if how == "full-pushdown" else "nrc-codegen", plan=plan
-            )
+            obs.done(result, method=_method(how), plan=plan)
         view = MaterializedView(prepared, stored.forest(), var=var, result=result)
         self._views[name] = view
         self._view_records[name] = {k: v for k, v in record.items() if k != "lsn"}

@@ -340,18 +340,6 @@ class PreparedQuery:
         return self._codegen[2]
 
     # ------------------------------------------------------------ evaluation
-    def program_for(self, method: str) -> CompiledExpr | CodegenProgram:
-        """The frame-protocol program serving ``method`` (``nrc*`` only).
-
-        ``"nrc-codegen"`` resolves to the generated program with the closure
-        tree as automatic fallback; ``"nrc"`` always resolves to the closure
-        tree.  Both kinds share the frame protocol the batch evaluator's
-        template fast path relies on.
-        """
-        if method == "nrc":
-            return self.compiled
-        return self.program
-
     def evaluate(
         self,
         env: Mapping[str, Any] | None = None,
@@ -382,6 +370,8 @@ class PreparedQuery:
             return obs.done(result, method=method)
 
     def _dispatch(self, env: Mapping[str, Any] | None, method: str) -> Any:
+        # One evaluation by ``method``, with no record and no guard of its
+        # own: ``evaluate`` and every document of a batch run through here.
         if method == "nrc-codegen":
             return self.program.evaluate(env)
         if method == "nrc":

@@ -251,20 +251,21 @@ def executor(request):
 @pytest.mark.parametrize("merge", [False, True])
 def test_store_query_many_refuses_an_executor(monkeypatch, executor, merge):
     """Batches run inline: ``query_many`` keeps ``executor=`` only for
-    ``None``, and refuses any other value before any document runs."""
-    from repro.store import DocumentStore
+    ``None``, and refuses any other value before any document runs.  Each
+    document is served through the store's pushdown executor."""
+    from repro.store import DocumentStore, PushdownExecutor
 
     store = DocumentStore(NATURAL)
     for index, document in enumerate(_documents(NATURAL, count=2)):
         store.ingest(f"d{index}", document)
     runs = []
-    original = BatchEvaluator._dispatch_runs
+    original = PushdownExecutor.execute
 
-    def counting_dispatch(run, documents, guard):
-        runs.extend(documents)
-        return original(run, documents, guard)
+    def counting_execute(self, prepared, index, var, env=None):
+        runs.append(index)
+        return original(self, prepared, index, var, env)
 
-    monkeypatch.setattr(BatchEvaluator, "_dispatch_runs", staticmethod(counting_dispatch))
+    monkeypatch.setattr(PushdownExecutor, "execute", counting_execute)
     with pytest.raises(ExecError, match="no executor"):
         store.query_many("($S)/*", merge=merge, executor=executor)
     assert runs == []
@@ -340,12 +341,8 @@ class TestBatchGuardrails:
 
             return counted
 
-        if method in ("nrc", "nrc-codegen"):
-            program = evaluator.prepared.program_for(method)
-            monkeypatch.setattr(program, "_run", expire_after_first(program._run))
-        else:
-            prepared = evaluator.prepared
-            monkeypatch.setattr(prepared, "_dispatch", expire_after_first(prepared._dispatch))
+        prepared = evaluator.prepared
+        monkeypatch.setattr(prepared, "_dispatch", expire_after_first(prepared._dispatch))
         with pytest.raises(QueryTimeoutError):
             evaluator.evaluate_many(documents, method=method, limits=guard)
         assert len(runs) < len(documents)

@@ -5,8 +5,8 @@ The exhaustive equivalence checks live in ``test_compile_eval_equiv.py``
 ``test_codegen_fuzz.py`` (randomized expressions); this file covers the
 mechanics: the decline gates and their reasons, scoping/shadowing in the
 generated locals, frame semantics (unbound-at-access), inline-op template
-validation, and the engine-level wiring (default method, ``program_for``,
-execution counters).
+validation, and the engine-level wiring (default method, execution
+counters).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def test_foreign_collection_engine_parity_via_closure_fallback():
     assert via_closures.semiring == BOOLEAN
     assert prepared.evaluate({"S": foreign}, method="nrc-codegen") == via_closures
     assert prepared.evaluate({"S": foreign}) == via_closures
-    # The batch template path re-dispatches foreign documents the same way.
+    # A batch runs each document through the same dispatch, foreign ones too.
     from repro.exec import BatchEvaluator
 
     mixed = [document, foreign, document]
@@ -242,8 +242,6 @@ def test_prepared_query_defaults_to_generated_program():
     assert prepared.generated is not None
     assert prepared.codegen_reason is None
     assert prepared.program is prepared.generated
-    assert prepared.program_for("nrc") is prepared.compiled
-    assert prepared.program_for("nrc-codegen") is prepared.generated
     before = prepared.generated.calls
     env = {"S": document}
     assert prepared.evaluate(env) == prepared.evaluate(env, method="nrc")

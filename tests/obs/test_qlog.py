@@ -475,7 +475,7 @@ OP_KINDS = [
     ("store.query", "$S//c", "index", "full-pushdown"),
     ("store.query", "element out { $S/* }", "nrc-codegen", "pushdown"),
     ("store.query", "element out { ($S/a, $S//b) }", "nrc-codegen", "pushdown"),
-    ("store.query_many", "($S)/*", "nrc-codegen", None),
+    ("store.query_many", "($S)/*", "index", "full-pushdown"),
     ("ivm.apply", "($S)/*", "ivm-incremental", None),
 ]
 
@@ -541,8 +541,8 @@ class TestSiteSpans:
             call()
         assert qlog.recent_records() == []
         roots = [span for span in tracer.spans if span.parent_id is None]
-        if kind in ("exec.batch", "store.query_many"):
-            # Covered by the fan-out span; no site span of their own.
+        if kind == "exec.batch":
+            # Covered by the fan-out span; no site span of its own.
             assert not any(span.name == kind for span in tracer.spans)
             assert any(span.name == "exec.batch.fan_out" for span in tracer.spans)
             return
@@ -555,6 +555,14 @@ class TestSiteSpans:
             assert site.attrs == {"doc": "d0"}
             # The residual plan runs as a nested evaluate span.
             assert len(nested) == (0 if pushdown == "full-pushdown" else 1)
+        elif kind == "store.query_many":
+            assert site.attrs["docs"] == ["d0", "d1"]
+            # Each document is served from the index, under the site span.
+            assert not any(span.name == "exec.batch.fan_out" for span in tracer.spans)
+            navigations = [span for span in tracer.spans if span.name == "store.query.navigate"]
+            assert len(navigations) == 2
+            served = [span for span in tracer.spans if span.name.startswith("store.query.")]
+            assert served and all(span.parent_id == site.span_id for span in served)
         else:
             assert site.attrs["maintenance"] == "incremental"
             assert site.attrs["classification"] == "linear"

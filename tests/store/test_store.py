@@ -366,9 +366,9 @@ class TestRecoveryInvariant:
 
 class TestCodegenServing:
     """The store's serving paths execute source-generated programs: the
-    pushdown residual (one chain or several) and query_many batches
-    compile through the engine's two-stage pipeline (observable on the
-    plans' execution counters)."""
+    pushdown residual (one chain or several), for ``query`` and every
+    document of ``query_many``, compiles through the engine's two-stage
+    pipeline (observable on the plans' execution counters)."""
 
     def test_residual_plan_executes_generated_code(self):
         forest = random_forest(NATURAL, num_trees=3, depth=3, fanout=2, seed=61)
@@ -423,21 +423,82 @@ class TestCodegenServing:
             assert {"simplify", "codegen"} <= set(plan.stage_timings), query
 
     def test_query_many_batches_generated_code(self):
+        """``query_many`` serves each document as ``query`` does: the user's
+        plan is never compiled, and a residual runs as generated code once
+        per document."""
         store = DocumentStore(NATURAL)
         for index in range(3):
             store.ingest(
                 f"doc{index}",
                 random_forest(NATURAL, num_trees=2, depth=3, fanout=2, seed=70 + index),
             )
-        query = "($S)/*/*"
-        results = store.query_many(query)
-        for doc_id, result in zip(store.document_ids(), results):
-            assert result == prepare_query(query, NATURAL, {"S": store.forest(doc_id)}).evaluate(
-                {"S": store.forest(doc_id)}
-            )
-        cached = store.plan_cache.get(query, NATURAL, env_types={"S": "forest"})
-        assert cached.generated is not None
-        assert cached.generated.calls >= 3
+        for query in ("($S)/*/*", "element out { $S/*/* }"):
+            results = store.query_many(query)
+            for doc_id, result in zip(store.document_ids(), results):
+                forest = store.forest(doc_id)
+                assert result == prepare_query(query, NATURAL, {"S": forest}).evaluate(
+                    {"S": forest}
+                )
+            cached = store.plan_cache.get(query, NATURAL, env_types={"S": "forest"})
+            assert set(cached.stage_timings) == {"parse", "typecheck", "normalize"}, query
+        [residual] = [
+            plan for plan in store.plan_cache._plans.values() if "__nav" in str(plan.surface)
+        ]
+        assert residual.generated is not None and residual.generated.calls == 3
+
+
+class TestQueryManyFromTheIndex:
+    """``query_many`` serves every document from the index, as ``query``
+    does, and equals per-document single-shot evaluation (merged: their
+    union) for every registry semiring."""
+
+    #: query text -> whether it needs ``$T`` bound in the environment.
+    QUERIES = {
+        "($S)//c": False,  # full pushdown
+        "for $x in $S/* return ($x)/*": False,  # one chain and a residual
+        "($S/a, $S//c)": False,  # two chains
+        "($S, $T)/*": True,  # a residual reading the environment
+        "$T/*": True,  # no $S at all: a residual with no navigation
+    }
+
+    @pytest.mark.parametrize("semiring", list(standard_semirings()), ids=lambda s: s.name)
+    def test_equals_per_document_single_shot(self, semiring):
+        forests = {
+            f"d{index}": random_forest(semiring, num_trees=3, depth=3, fanout=2, seed=90 + index)
+            for index in range(4)
+        }
+        store = DocumentStore(semiring)
+        for doc_id, forest in forests.items():
+            store.ingest(doc_id, forest)
+        constant = random_forest(semiring, num_trees=2, depth=2, fanout=2, seed=99)
+        for query, uses_env in self.QUERIES.items():
+            env = {"T": constant} if uses_env else None
+            env_types = {"S": "forest", "T": "forest"} if uses_env else {"S": "forest"}
+            reference = prepare_query(query, semiring, env_types=env_types)
+            for doc_ids in (None, ["d3", "d1"]):
+                ids = doc_ids or sorted(forests)
+                single = [
+                    reference.evaluate({**(env or {}), "S": forests[doc_id]}) for doc_id in ids
+                ]
+                union = single[0]
+                for part in single[1:]:
+                    union = union.union(part)
+                before = store.stats().pushdowns
+                assert store.query_many(query, doc_ids, env=env) == single, query
+                assert store.query_many(query, doc_ids, env=env, merge=True) == union, query
+                # One pushdown per document served, merged or not.
+                assert store.stats().pushdowns == before + 2 * len(ids)
+            plan = store.plan_cache.get(query, semiring, env_types=env_types)
+            assert set(plan.stage_timings) == {"parse", "typecheck", "normalize"}, query
+
+    def test_merging_a_non_forest_result_raises(self):
+        from repro.errors import ExecError
+
+        store = DocumentStore(NATURAL)
+        store.ingest("d0", random_forest(NATURAL, num_trees=2, depth=2, fanout=2, seed=97))
+        assert len(store.query_many("element out { $S/* }")) == 1
+        with pytest.raises(ExecError, match="K-set results"):
+            store.query_many("element out { $S/* }", merge=True)
 
 
 class TestViewsByNavigation:
